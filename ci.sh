@@ -56,4 +56,7 @@ cargo run --release -q -p pasta-conformance -- selftest
 echo "==> Conformance quick under PASTA_TRACE=1 (tracing must not perturb numerics)"
 PASTA_TRACE=1 cargo run --release -q -p pasta-conformance -- quick
 
+echo "==> Repo benchmark smoke (scale 0.02, every output and served response verified)"
+bash benchmark/run.sh --smoke > /dev/null
+
 echo "==> CI gate passed"

@@ -349,6 +349,16 @@ mod tests {
     use super::*;
     use pasta_core::seeded_matrix;
 
+    /// Serializes the tests that run Tucker chains: the kernel-at-a-time
+    /// route bumps the process-wide `fused.materialized_intermediates`
+    /// counter that `fused_route_materializes_no_intermediates` asserts
+    /// does not move, and cargo runs this binary's tests in parallel.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn diag_tensor(d: u32) -> CooTensor<f64> {
         let mut x = CooTensor::new(Shape::new(vec![d, d, d]));
         for i in 0..d {
@@ -359,6 +369,7 @@ mod tests {
 
     #[test]
     fn full_rank_captures_all_energy() {
+        let _serial = serial();
         let x = diag_tensor(5);
         let m = tucker_hooi(
             &x,
@@ -370,6 +381,7 @@ mod tests {
 
     #[test]
     fn truncated_rank_keeps_dominant_components() {
+        let _serial = serial();
         // Diagonal entries 1..=6: keeping ranks (3,3,3) should capture the
         // top-3 magnitudes 6,5,4 => energy sqrt(36+25+16)/sqrt(91).
         let x = diag_tensor(6);
@@ -384,6 +396,7 @@ mod tests {
 
     #[test]
     fn factors_are_orthonormal() {
+        let _serial = serial();
         let x = diag_tensor(6);
         let m = tucker_hooi(
             &x,
@@ -406,6 +419,7 @@ mod tests {
 
     #[test]
     fn ttm_chain_full_contraction_shrinks_to_core_shape() {
+        let _serial = serial();
         let x = diag_tensor(4);
         let factors: Vec<DenseMatrix<f64>> =
             (0..3).map(|m| seeded_matrix(4, 2, m as u64)).collect();
@@ -415,6 +429,7 @@ mod tests {
 
     #[test]
     fn fused_and_materialized_routes_agree() {
+        let _serial = serial();
         // The satellite regression: the fused chain must reproduce the
         // kernel-at-a-time chain (and make its to_coo() round-trip
         // unreachable) to tight budget on a non-trivial tensor.
@@ -449,6 +464,7 @@ mod tests {
 
     #[test]
     fn fused_route_materializes_no_intermediates() {
+        let _serial = serial();
         let x = diag_tensor(6);
         pasta_kernels::obs::set_counting(true);
         let c = counters();

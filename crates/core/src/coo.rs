@@ -8,7 +8,9 @@
 use crate::error::{Error, Result};
 use crate::keys::{lex_keys, PackedKeys};
 use crate::shape::{Coord, Shape};
-use crate::sort::{apply_permutation, lex_cmp, mode_last_order, par_sort_keys, sort_permutation};
+use crate::sort::{
+    apply_permutation, gather, lex_cmp, mode_last_order, par_sort_keys, sort_permutation,
+};
 use crate::value::Value;
 
 /// The entry ordering a [`CooTensor`] is known to satisfy.
@@ -160,6 +162,13 @@ impl<V: Value> CooTensor<V> {
         Ok(Self { shape, inds, vals, sort: SortState::Unsorted })
     }
 
+    /// [`Self::from_parts`] for producers whose columns are valid by
+    /// construction (format expansions of an already-validated tensor).
+    pub(crate) fn from_valid_parts(shape: Shape, inds: Vec<Vec<Coord>>, vals: Vec<V>) -> Self {
+        debug_assert!(inds.len() == shape.order() && inds.iter().all(|c| c.len() == vals.len()));
+        Self { shape, inds, vals, sort: SortState::Unsorted }
+    }
+
     /// Appends one non-zero entry.
     ///
     /// # Errors
@@ -284,15 +293,59 @@ impl<V: Value> CooTensor<V> {
         if self.sort.mode_order() == Some(mode_order) {
             return;
         }
-        let perm = match lex_keys(&self.inds, self.shape.dims(), mode_order) {
+        let perm = self.lex_permutation(mode_order, threads);
+        apply_permutation(&mut self.inds, &mut self.vals, &perm);
+        self.sort = SortState::Lexicographic { mode_order: mode_order.to_vec() };
+    }
+
+    /// The stable permutation that sorts the entries lexicographically by
+    /// `mode_order` — what [`Self::sort_by_mode_order_threads`] applies.
+    fn lex_permutation(&self, mode_order: &[usize], threads: usize) -> Vec<u32> {
+        match lex_keys(&self.inds, self.shape.dims(), mode_order) {
             PackedKeys::U64(keys) => par_sort_keys(&keys, threads),
             PackedKeys::U128(keys) => par_sort_keys(&keys, threads),
             PackedKeys::Overflow => {
                 sort_permutation(self.nnz(), |a, b| lex_cmp(&self.inds, mode_order, a, b))
             }
-        };
-        apply_permutation(&mut self.inds, &mut self.vals, &perm);
-        self.sort = SortState::Lexicographic { mode_order: mode_order.to_vec() };
+        }
+    }
+
+    /// Whether the entries are in non-decreasing lexicographic order of
+    /// `mode_order`: the recorded [`SortState`] says exactly this order, or
+    /// one linear scan confirms it. A recorded prefix of `mode_order` does
+    /// not count. Ties are allowed, so a stable sort by `mode_order` would
+    /// leave the entries where they are.
+    pub fn is_sorted_by(&self, mode_order: &[usize]) -> bool {
+        self.sort.mode_order() == Some(mode_order)
+            || (1..self.nnz())
+                .all(|x| lex_cmp(&self.inds, mode_order, x - 1, x) != std::cmp::Ordering::Greater)
+    }
+
+    /// The values in fully lexicographic coordinate order (modes
+    /// `0, 1, …, N−1`), bit for bit what [`Self::sort`] would leave in
+    /// [`Self::vals`] — [`Self::in_lex_order`] of a copy of the values.
+    pub fn lex_vals(&self) -> Vec<V> {
+        self.in_lex_order(self.vals.clone())
+    }
+
+    /// Rearranges `vals`, one per entry in storage order (a value array
+    /// over this tensor's pattern), into fully lexicographic coordinate
+    /// order; entries with equal coordinates keep their storage order, as
+    /// under [`Self::sort`]. Already-ordered entries (see
+    /// [`Self::is_sorted_by`]) return `vals` untouched; otherwise the sort
+    /// permutation gathers them, and the index arrays are neither copied
+    /// nor moved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vals.len() != self.nnz()`.
+    pub fn in_lex_order(&self, vals: Vec<V>) -> Vec<V> {
+        assert_eq!(vals.len(), self.nnz(), "one value per entry");
+        let natural: Vec<usize> = (0..self.order()).collect();
+        if self.is_sorted_by(&natural) {
+            return vals;
+        }
+        gather(&vals, &self.lex_permutation(&natural, pasta_par::default_threads()))
     }
 
     /// Sorts entries so that mode-`n` fibers are contiguous: lexicographic in

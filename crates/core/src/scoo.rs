@@ -249,33 +249,124 @@ impl<V: Value> SemiCooTensor<V> {
         self.num_fibers() * self.sparse_modes.len() * 4 + self.vals.len() * V::BYTES
     }
 
-    /// Expands to COO, dropping exact zeros inside dense fibers.
+    /// Expands to COO, dropping exact zeros inside dense fibers. Entries
+    /// come out fiber by fiber, dense offset inner.
     pub fn to_coo(&self) -> CooTensor<V> {
-        let order = self.shape.order();
+        // The dense coordinates of every offset, one table per dense mode
+        // (row-major in increasing mode order, as the values are stored).
         let d = self.dense_volume();
-        let dense_dims: Vec<usize> =
-            self.dense_modes.iter().map(|&m| self.shape.dim(m) as usize).collect();
-        let mut out = CooTensor::with_capacity(self.shape.clone(), self.vals.len());
-        let mut coords = vec![0u32; order];
+        let mut stride = d;
+        let dense_coords: Vec<Vec<Coord>> = self
+            .dense_modes
+            .iter()
+            .map(|&m| {
+                let dim = self.shape.dim(m) as usize;
+                stride /= dim.max(1);
+                (0..d).map(|lin| ((lin / stride) % dim) as Coord).collect()
+            })
+            .collect();
+        let cap = self.vals.len();
+        let mut inds: Vec<Vec<Coord>> =
+            (0..self.shape.order()).map(|_| Vec::with_capacity(cap)).collect();
+        let mut vals = Vec::with_capacity(cap);
         for f in 0..self.num_fibers() {
-            for (k, &m) in self.sparse_modes.iter().enumerate() {
-                coords[m] = self.inds[k][f];
-            }
-            let fv = self.fiber_vals(f);
-            for (lin, &v) in fv.iter().enumerate().take(d) {
+            for (lin, &v) in self.fiber_vals(f).iter().enumerate() {
                 if v == V::ZERO {
                     continue;
                 }
-                // De-linearize the dense offset into the dense modes.
-                let mut rem = lin;
-                for (di, &m) in self.dense_modes.iter().enumerate().rev() {
-                    coords[m] = (rem % dense_dims[di]) as Coord;
-                    rem /= dense_dims[di];
+                for (col, &m) in self.inds.iter().zip(&self.sparse_modes) {
+                    inds[m].push(col[f]);
                 }
-                out.push(&coords, v).expect("sCOO coords validated at construction");
+                for (table, &m) in dense_coords.iter().zip(&self.dense_modes) {
+                    inds[m].push(table[lin]);
+                }
+                vals.push(v);
             }
         }
+        // Sparse coordinates were validated at construction and dense ones
+        // are below their dims by the tables' construction.
+        CooTensor::from_valid_parts(self.shape.clone(), inds, vals)
+    }
+
+    /// The non-zero values in fully lexicographic coordinate order: bit for
+    /// bit `self.to_coo().lex_vals()`, exact zeros dropped as
+    /// [`Self::to_coo`] drops them, but read straight from the fiber layout
+    /// without building the COO.
+    ///
+    /// When the fibers are in non-decreasing lexicographic order over the
+    /// sparse modes — TTM output is, because its fibers come from a copy
+    /// sorted with the product mode last — the walk takes each run of
+    /// fibers that share the sparse coordinates before a dense mode, dense
+    /// coordinate outer and fiber inner, nesting once per dense mode.
+    /// Fibers with equal sparse coordinates stay in storage order, as the
+    /// stable sort keeps them. Other layouts fall back to
+    /// `to_coo().lex_vals()`.
+    pub fn lex_vals(&self) -> Vec<V> {
+        if !self.fibers_lex_ordered() {
+            return self.to_coo().lex_vals();
+        }
+        // split[l]: how many sparse modes precede dense mode l.
+        let split: Vec<usize> = self
+            .dense_modes
+            .iter()
+            .map(|&dm| self.sparse_modes.iter().take_while(|&&s| s < dm).count())
+            .collect();
+        let mut out = Vec::with_capacity(self.vals.len());
+        self.lex_walk(0..self.num_fibers(), 0, 0, &split, &mut out);
         out
+    }
+
+    /// Whether the fibers are in non-decreasing lexicographic order over
+    /// the sparse modes (equal neighbours allowed) — one pass over the
+    /// fibers, and the condition under which [`Self::lex_vals`] walks the
+    /// layout instead of sorting.
+    pub fn fibers_lex_ordered(&self) -> bool {
+        (1..self.num_fibers()).all(|f| {
+            self.inds
+                .iter()
+                .map(|col| col[f - 1].cmp(&col[f]))
+                .find(|o| o.is_ne())
+                .is_none_or(std::cmp::Ordering::is_lt)
+        })
+    }
+
+    /// One level of [`Self::lex_vals`]: `fibers` share the sparse
+    /// coordinates before dense mode `level`, whose preceding dense modes
+    /// are fixed at linear offset `offset`.
+    fn lex_walk(
+        &self,
+        fibers: std::ops::Range<usize>,
+        level: usize,
+        offset: usize,
+        split: &[usize],
+        out: &mut Vec<V>,
+    ) {
+        let d = self.dense_volume();
+        let dim = self.shape.dim(self.dense_modes[level]) as usize;
+        let shared = if level == 0 { 0 } else { split[level - 1] }..split[level];
+        let last = level + 1 == split.len();
+        let mut start = fibers.start;
+        while start < fibers.end {
+            let end = (start + 1..fibers.end)
+                .find(|&f| shared.clone().any(|k| self.inds[k][f] != self.inds[k][start]))
+                .unwrap_or(fibers.end);
+            if last && end == start + 1 {
+                // A lone fiber: its last dense mode is contiguous in storage.
+                let row = start * d + offset * dim;
+                out.extend(self.vals[row..row + dim].iter().filter(|&&v| v != V::ZERO));
+            } else {
+                for j in 0..dim {
+                    let off = offset * dim + j;
+                    if last {
+                        let vals = (start..end).map(|f| self.vals[f * d + off]);
+                        out.extend(vals.filter(|&v| v != V::ZERO));
+                    } else {
+                        self.lex_walk(start..end, level + 1, off, split, out);
+                    }
+                }
+            }
+            start = end;
+        }
     }
 }
 
@@ -434,6 +525,33 @@ mod tests {
         // Row-major among dense modes: (j=0,k=0)->1, (j=0,k=2)->3, (j=1,k=0)->4.
         assert_eq!(coo.get(&[1, 0, 2]), Some(3.0));
         assert_eq!(coo.get(&[1, 1, 0]), Some(4.0));
+    }
+
+    /// `to_coo().sort()` values: the reference [`SemiCooTensor::lex_vals`]
+    /// must reproduce bit for bit.
+    fn sorted_coo_vals(t: &SemiCooTensor<f32>) -> Vec<u32> {
+        let mut c = t.to_coo();
+        c.sort();
+        c.vals().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn lex_vals_walks_dense_coordinate_outer() {
+        // Dense mode 1 between sparse modes 0 and 2: fibers (0,0), (0,1)
+        // share mode 0, so their values interleave by the dense coordinate.
+        let t = SemiCooTensor::from_fibers(
+            Shape::new(vec![2, 3, 2]),
+            vec![1],
+            vec![vec![0, 0, 1], vec![0, 1, 0]],
+            vec![1.0, 2.0, 3.0, 4.0, 0.0, 6.0, 7.0, -0.0, 9.0],
+        )
+        .unwrap();
+        assert_eq!(t.lex_vals(), vec![1.0, 4.0, 2.0, 3.0, 6.0, 7.0, 9.0]);
+        assert_eq!(bits(&t.lex_vals()), sorted_coo_vals(&t));
     }
 
     #[test]

@@ -204,6 +204,7 @@ mod tests {
     #[test]
     fn add_get_snapshot_roundtrip() {
         // The registry is shared across tests; assert deltas only.
+        let _serial = crate::switch_lock();
         crate::set_counting(true);
         let before = counters().snapshot();
         counters().add(CounterId::SimLaunches, 3);

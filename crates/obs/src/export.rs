@@ -236,6 +236,7 @@ mod tests {
 
     #[test]
     fn exporter_output_validates() {
+        let _serial = crate::switch_lock();
         crate::set_tracing(true);
         {
             let _outer = crate::span("test", "export.outer");

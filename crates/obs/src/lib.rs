@@ -126,12 +126,24 @@ fn set_bit(bit: u32, on: bool) {
     FLAGS.store(next, Ordering::Relaxed);
 }
 
+/// Serializes the unit tests that flip [`set_tracing`]/[`set_counting`]:
+/// the switches are process-wide and cargo runs a binary's tests on
+/// parallel threads, so an unlocked sibling could turn tracing off between
+/// another test's span and its assertion. Recovers from poison so one
+/// failing test does not fail the rest.
+#[cfg(test)]
+pub(crate) fn switch_lock() -> std::sync::MutexGuard<'static, ()> {
+    static SWITCHES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SWITCHES.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn flags_toggle_independently() {
+        let _serial = switch_lock();
         let trace0 = enabled();
         let count0 = counting();
         set_tracing(true);

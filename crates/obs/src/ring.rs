@@ -224,6 +224,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _serial = crate::switch_lock();
         crate::set_tracing(false);
         let before: usize = snapshot_events().iter().map(|(_, e, _)| e.len()).sum();
         {
@@ -236,6 +237,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_instants_interleave() {
+        let _serial = crate::switch_lock();
         crate::set_tracing(true);
         {
             let _outer = span_detail("test", "test.outer", "tag", 7, 8, 9);

@@ -391,16 +391,25 @@ pub(crate) fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Derives the second TEW operand: `x`'s pattern with seeded values in
-/// `[0.5, 2)` — bounded away from zero so `Div` requests stay finite.
+/// Derives the second TEW operand: `x`'s pattern with the seeded
+/// [`pattern_values`].
 pub fn pattern_operand(x: &CooTensor<f32>, seed: u64) -> CooTensor<f32> {
     let mut y = x.like_pattern(0.0);
-    let mut state = seed ^ 0x7E57_5EED;
-    for v in y.vals_mut() {
-        let u = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-        *v = (0.5 + 1.5 * u) as f32;
-    }
+    y.vals_mut().copy_from_slice(&pattern_values(x.nnz(), seed));
     y
+}
+
+/// The values of the second TEW operand, one per entry in storage order:
+/// seeded in `[0.5, 2)`, bounded away from zero so `Div` requests stay
+/// finite.
+pub fn pattern_values(nnz: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed ^ 0x7E57_5EED;
+    (0..nnz)
+        .map(|_| {
+            let u = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+            (0.5 + 1.5 * u) as f32
+        })
+        .collect()
 }
 
 /// Derives the TTV contraction vector for `mode`.
@@ -520,12 +529,11 @@ pub fn expr_plan(
 
 /// Canonicalizes a sparse result for comparison: values in fully
 /// lexicographic coordinate order, independent of how the producing route
-/// ordered its output entries.
+/// ordered its output entries — the values a stable sort would leave,
+/// which for entries already in order (recorded or checked) are the
+/// values as stored ([`CooTensor::lex_vals`]).
 pub fn canonical_vals(t: &CooTensor<f32>) -> Vec<f32> {
-    let order: Vec<usize> = (0..t.order()).collect();
-    let mut c = t.clone();
-    c.sort_by_mode_order(&order);
-    c.vals().to_vec()
+    t.lex_vals()
 }
 
 #[cfg(test)]

@@ -12,21 +12,29 @@
 //! which is what keeps the parallel response bit-identical to the
 //! sequential reference. Replies come back in admission order.
 //!
+//! Replies are assembled in canonical (lexicographic-coordinate) order
+//! straight from the layout each kernel wrote: TTM and semi-sparse expr
+//! outputs walk their fibers ([`SemiCooTensor::lex_vals`]), already
+//! ordered COO outputs are served as stored, and TEW/TS run only the value
+//! loop over the resident tensor's pattern. Nothing is re-sorted unless a
+//! route's output is out of order.
+//!
 //! Every lifecycle stage is spanned under the `serve` category
-//! (`serve.admit` / `serve.batch` / `serve.dispatch` / `serve.reply`),
-//! so a traced run shows the full request timeline in the chrome trace.
+//! (`serve.admit` / `serve.batch` / `serve.dispatch` / `serve.canon` /
+//! `serve.reply`), so a traced run shows the full request timeline in the
+//! chrome trace, with reply assembly (`serve.canon`) apart from the kernel.
 
 use crate::cache::{ConvCache, Product, ProductKey};
 use crate::catalog::Catalog;
 use crate::request::{
     canonical_vals, contraction_matrix, contraction_vector, cpd_options, csf_ttv_order, expr_plan,
-    factor_set, pattern_operand, sorted_by_mode, tucker_options, MttkrpRoute, OpSpec, Request,
+    factor_set, pattern_values, sorted_by_mode, tucker_options, MttkrpRoute, OpSpec, Request,
     Response, TensorId,
 };
 use pasta_algos::{cp_als, tucker_hooi};
-use pasta_core::{CooTensor, CsfTensor, Error, HiCooTensor, Result};
+use pasta_core::{CooTensor, CsfTensor, Error, HiCooTensor, Result, SemiCooTensor};
 use pasta_kernels::{
-    mttkrp_coo, mttkrp_hicoo, owner_ranges, tew_coo_same_pattern, ts_coo, BackendKind, Bindings,
+    mttkrp_coo, mttkrp_hicoo, owner_ranges, tew_values_into, ts_values_into, BackendKind, Bindings,
     CsfTtvPlan, Ctx, ExprOut, FormatKind, Kernel, KernelPlan, StrategyChoice, TtmCooPlan,
 };
 use pasta_obs::{counters, instant, span, span_detail, CounterId};
@@ -251,7 +259,8 @@ impl Server {
             for p in members {
                 let _d = span("serve", "serve.dispatch");
                 let t0 = Instant::now();
-                let (values, shards) = exec(&self.cfg, x, &p.req.op, product.as_deref())?;
+                let (reply, shards) = exec(&self.cfg, x, &p.req.op, product.as_deref())?;
+                let values = reply.canonical();
                 let latency_ns = t0.elapsed().as_nanos() as u64;
                 out[p.slot] = Some(Response { values, shards, cache_hit, latency_ns });
             }
@@ -283,27 +292,58 @@ fn shards_for(cfg: &ServerConfig, nnz: usize) -> usize {
     }
 }
 
+/// A dispatch's output in the layout its kernel wrote, before reply
+/// assembly puts the values in canonical order.
+enum Reply<'x> {
+    /// Already canonical: the dense outputs.
+    Vals(Vec<f32>),
+    /// One value per entry of the resident tensor, in its storage order:
+    /// TEW/TS, whose output pattern is the input's.
+    Pattern(&'x CooTensor<f32>, Vec<f32>),
+    /// A sparse result in its route's entry order.
+    Coo(CooTensor<f32>),
+    /// A semi-sparse result in its route's fiber layout.
+    Semi(SemiCooTensor<f32>),
+}
+
+impl Reply<'_> {
+    /// The canonical value stream (the `serve.canon` span): as stored when
+    /// the layout is already in order, re-sorted only when it is not.
+    fn canonical(self) -> Vec<f32> {
+        let _c = span("serve", "serve.canon");
+        match self {
+            Reply::Vals(vals) => vals,
+            Reply::Pattern(x, vals) => x.in_lex_order(vals),
+            Reply::Coo(t) => canonical_vals(&t),
+            Reply::Semi(s) => s.lex_vals(),
+        }
+    }
+}
+
 /// Executes one request against its resolved conversion product.
-/// Returns the canonical value stream and the partition count used.
-fn exec(
+/// Returns the kernel's output and the partition count used.
+fn exec<'x>(
     cfg: &ServerConfig,
-    x: &CooTensor<f32>,
+    x: &'x CooTensor<f32>,
     op: &OpSpec,
     product: Option<&Product>,
-) -> Result<(Vec<f32>, usize)> {
+) -> Result<(Reply<'x>, usize)> {
     let threads = cfg.threads.max(1);
     let ctx = Ctx::new(threads, Schedule::Static);
     match *op {
+        // TEW/TS outputs share x's pattern, so the value loop alone is the
+        // result: no output tensor, no copy of the index arrays.
         OpSpec::Tew { op, seed } => {
             validate_route(Kernel::Tew, FormatKind::Coo, &ctx)?;
-            let y = pattern_operand(x, seed);
-            let z = tew_coo_same_pattern(op, x, &y, &ctx)?;
-            Ok((canonical_vals(&z), threads))
+            let mut z = vec![0.0; x.nnz()];
+            tew_values_into(op, x.vals(), &pattern_values(x.nnz(), seed), &mut z, &ctx)?;
+            Ok((Reply::Pattern(x, z), threads))
         }
         OpSpec::Ts { op, scalar } => {
             validate_route(Kernel::Ts, FormatKind::Coo, &ctx)?;
-            let z = ts_coo(op, x, scalar, &ctx)?;
-            Ok((canonical_vals(&z), threads))
+            let mut z = vec![0.0; x.nnz()];
+            ts_values_into(op, x.vals(), scalar, &mut z, &ctx)?;
+            Ok((Reply::Pattern(x, z), threads))
         }
         OpSpec::Ttv { mode, seed } => {
             validate_route(Kernel::Ttv, FormatKind::Csf, &ctx)?;
@@ -311,7 +351,7 @@ fn exec(
                 return Err(Error::OperandMismatch { what: "ttv product missing".into() });
             };
             let v = contraction_vector(x, mode, seed);
-            Ok((canonical_vals(&plan.execute(&v, &ctx)?), threads))
+            Ok((Reply::Coo(plan.execute(&v, &ctx)?), threads))
         }
         OpSpec::Ttm { mode, rank, seed } => {
             validate_route(Kernel::Ttm, FormatKind::Coo, &ctx)?;
@@ -319,7 +359,7 @@ fn exec(
                 return Err(Error::OperandMismatch { what: "ttm product missing".into() });
             };
             let u = contraction_matrix(x, mode, rank, seed);
-            Ok((canonical_vals(&plan.execute(&u, &ctx)?.to_coo()), threads))
+            Ok((Reply::Semi(plan.execute(&u, &ctx)?), threads))
         }
         OpSpec::Mttkrp { mode, rank, seed, route: MttkrpRoute::Coo } => {
             let shards = shards_for(cfg, x.nnz());
@@ -336,7 +376,7 @@ fn exec(
             counters().add(CounterId::ServeShardTasks, tasks as u64);
             let factors = factor_set(x, rank, seed);
             let out = mttkrp_coo(sorted, &factors, mode, &shard_ctx)?;
-            Ok((out.as_slice().to_vec(), tasks))
+            Ok((Reply::Vals(out.as_slice().to_vec()), tasks))
         }
         OpSpec::Mttkrp { mode, rank, seed, route: MttkrpRoute::Hicoo(_) } => {
             // The HiCOO route is cache-accelerated but not sharded: its
@@ -349,7 +389,7 @@ fn exec(
             };
             let factors = factor_set(x, rank, seed);
             let out = mttkrp_hicoo(h, &factors, mode, &seq)?;
-            Ok((out.as_slice().to_vec(), 1))
+            Ok((Reply::Vals(out.as_slice().to_vec()), 1))
         }
         OpSpec::Cpd { rank, sweeps, seed } => {
             let model = cp_als(x, &cpd_options(rank, sweeps, seed))?;
@@ -358,7 +398,7 @@ fn exec(
                 vals.extend_from_slice(f.as_slice());
             }
             vals.extend_from_slice(&model.lambda);
-            Ok((vals, 1))
+            Ok((Reply::Vals(vals), 1))
         }
         OpSpec::Tucker { rank, sweeps, seed } => {
             let model = tucker_hooi(x, &tucker_options(x, rank, sweeps, seed))?;
@@ -366,7 +406,7 @@ fn exec(
             for f in &model.factors {
                 vals.extend_from_slice(f.as_slice());
             }
-            Ok((vals, 1))
+            Ok((Reply::Vals(vals), 1))
         }
         OpSpec::Expr { .. } => {
             // The whole chain is the cached conversion product: a lowered
@@ -375,13 +415,13 @@ fn exec(
             let Some(Product::Expr(plan)) = product else {
                 return Err(Error::OperandMismatch { what: "expr product missing".into() });
             };
-            let vals = match plan.execute(&Bindings::none())? {
-                ExprOut::Coo(t) => canonical_vals(&t),
-                ExprOut::Semi(s) => canonical_vals(&s.to_coo()),
-                ExprOut::Dense { vals, .. } => vals,
-                ExprOut::Matrix(m) => m.as_slice().to_vec(),
+            let reply = match plan.execute(&Bindings::none())? {
+                ExprOut::Coo(t) => Reply::Coo(t),
+                ExprOut::Semi(s) => Reply::Semi(s),
+                ExprOut::Dense { vals, .. } => Reply::Vals(vals),
+                ExprOut::Matrix(m) => Reply::Vals(m.as_slice().to_vec()),
             };
-            Ok((vals, threads))
+            Ok((reply, threads))
         }
     }
 }
@@ -456,6 +496,35 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rs[2].values, direct3);
+    }
+
+    #[test]
+    fn out_of_order_resident_still_replies_in_canonical_order() {
+        // The catalog tensor's entries reversed: TEW/TS replies are
+        // gathered through its pattern, TTM/TTV come from sorted products.
+        let x = catalog().get(0).unwrap().tensor.clone();
+        let rev = |col: &[u32]| col.iter().rev().copied().collect::<Vec<_>>();
+        let inds = x.inds().iter().map(|c| rev(c)).collect();
+        let vals = x.vals().iter().rev().copied().collect();
+        let y = CooTensor::from_parts(x.shape().clone(), inds, vals).unwrap();
+        let mut cat = Catalog::new();
+        cat.insert(0, "reversed", y.clone());
+        let mut s = Server::new(cat, ServerConfig::default());
+        let ops = [
+            OpSpec::Tew { op: EwOp::Div, seed: 3 },
+            OpSpec::Ts { op: pasta_kernels::TsOp::Sub, scalar: 1.5 },
+            OpSpec::Ttm { mode: 1, rank: 2, seed: 4 },
+            OpSpec::Ttv { mode: 0, seed: 5 },
+        ];
+        let rs = s.submit(ops.map(|op| Request { tensor: 0, op })).unwrap();
+        for (r, op) in rs.iter().zip(&ops) {
+            let direct = crate::direct_eval(&y, op).unwrap();
+            let budget = op.budget() as f32;
+            assert_eq!(r.values.len(), direct.len());
+            for (a, b) in r.values.iter().zip(&direct) {
+                assert!((a - b).abs() <= budget * f32::EPSILON * b.abs().max(1.0), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

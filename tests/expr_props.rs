@@ -16,6 +16,19 @@ use pasta::kernels::{
 use pasta::par::Schedule;
 use pasta_conformance::oracle::worst_ulp;
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes this binary's tests. The proptests' `Materialize` arms bump
+/// the process-wide `fused.materialized_intermediates` counter, which
+/// `forced_fusion_materializes_nothing_on_mixed_chains` asserts does not
+/// move, and cargo runs a binary's tests on parallel threads.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`], recovering from poison so one failing test does not
+/// fail the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn ctx_with(threads: usize) -> Ctx {
     Ctx::new(threads, Schedule::Static)
@@ -212,6 +225,7 @@ proptest! {
         tew_sel in 0u8..2,
         raw in raw_steps(),
     ) {
+        let _serial = serial();
         let x = tensor_from(&[10, 7, 6], entries);
         check_chain(&x, tew_sel == 1, &raw);
     }
@@ -223,6 +237,7 @@ proptest! {
         tew_sel in 0u8..2,
         raw in raw_steps(),
     ) {
+        let _serial = serial();
         let x = tensor_from(&[6, 5, 4, 3], entries);
         check_chain(&x, tew_sel == 1, &raw);
     }
@@ -234,6 +249,7 @@ proptest! {
 /// matches the composed reference.
 #[test]
 fn forced_fusion_materializes_nothing_on_mixed_chains() {
+    let _serial = serial();
     let x = tensor_from(
         &[10, 7, 6],
         (0..60u32).map(|i| (vec![i % 10, (i * 3) % 7, (i * 5) % 6], f64::from(i) - 30.0)).collect(),

@@ -1,7 +1,7 @@
 //! With counting disabled, every counter in the registry must stay
 //! exactly zero-delta across a workload that would otherwise bump every
 //! subsystem (sort, HiCOO conversion, MTTKRP scheduling, fused chains,
-//! expression-graph lowering, pool workers).
+//! expression-graph lowering, pool workers, the serving layer).
 //!
 //! This lives in its own test binary: `set_counting(false)` is
 //! process-global, and cargo runs each test binary as a separate process,
@@ -14,6 +14,7 @@ use pasta::kernels::{
     VecOperand,
 };
 use pasta::par::Schedule;
+use pasta::serve::{Catalog, OpSpec, Request, Server, ServerConfig};
 
 fn tensor() -> CooTensor<f64> {
     let mut t = CooTensor::new(Shape::new(vec![12, 9, 8]));
@@ -31,6 +32,12 @@ fn all_counters_zero_delta_when_disabled() {
     let before = pasta::obs::counters().snapshot();
 
     let x = tensor();
+    let served = CooTensor::from_parts(
+        x.shape().clone(),
+        x.inds().to_vec(),
+        x.vals().iter().map(|&v| v as f32).collect(),
+    )
+    .unwrap();
     for threads in [1usize, 2, 4] {
         let ctx = Ctx::new(threads, Schedule::Static);
         // Sort + HiCOO conversion path.
@@ -57,6 +64,20 @@ fn all_counters_zero_delta_when_disabled() {
         let eplan = lower(&g, root, &ctx).unwrap();
         eplan.execute(&Bindings::none()).unwrap();
         eplan.execute(&Bindings::none()).unwrap();
+        // Served requests: admission, batching, dispatch and reply
+        // assembly (`serve.canon`), cold and then warm from the cache.
+        let mut catalog = Catalog::new();
+        catalog.insert(0, "quiet", served.clone());
+        let cfg = ServerConfig { threads, ..Default::default() };
+        let mut server = Server::new(catalog, cfg);
+        let reqs = [
+            OpSpec::Tew { op: EwOp::Mul, seed: 3 },
+            OpSpec::Ttv { mode: 1, seed: 4 },
+            OpSpec::Ttm { mode: 0, rank: 3, seed: 5 },
+        ]
+        .map(|op| Request { tensor: 0, op });
+        server.submit(reqs).unwrap();
+        server.submit(reqs).unwrap();
     }
 
     let after = pasta::obs::counters().snapshot();

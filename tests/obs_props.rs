@@ -110,3 +110,48 @@ proptest! {
         drop(guard);
     }
 }
+
+/// A traced serve window shows reply assembly as its own `serve.canon`
+/// span, once per request and nested inside that request's
+/// `serve.dispatch`.
+#[test]
+fn traced_serve_spans_reply_assembly() {
+    use pasta::obs::{snapshot_events, Phase};
+    use pasta::serve::{Catalog, OpSpec, Request, Server, ServerConfig};
+    let guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let x = tensor_from(
+        &[10, 7, 6],
+        (0..60u32).map(|i| (vec![i % 10, (i * 3) % 7, (i * 5) % 6], f64::from(i) - 30.0)).collect(),
+    );
+    let x = CooTensor::from_parts(
+        x.shape().clone(),
+        x.inds().to_vec(),
+        x.vals().iter().map(|&v| v as f32).collect(),
+    )
+    .unwrap();
+    let mut catalog = Catalog::new();
+    catalog.insert(0, "traced", x);
+    let mut server = Server::new(catalog, ServerConfig::default());
+    let reqs = [OpSpec::Ttm { mode: 1, rank: 3, seed: 2 }, OpSpec::Ttv { mode: 0, seed: 3 }]
+        .map(|op| Request { tensor: 0, op });
+    reset_events();
+    set_tracing(true);
+    server.submit(reqs).unwrap();
+    set_tracing(false);
+    // Dispatch and reply assembly run on the submitting thread.
+    let serve: Vec<(&str, Phase)> = snapshot_events()
+        .into_iter()
+        .flat_map(|(_, evs, _)| evs)
+        .filter(|e| e.cat == "serve" && (e.name == "serve.dispatch" || e.name == "serve.canon"))
+        .map(|e| (e.name, e.phase))
+        .collect();
+    let one = [
+        ("serve.dispatch", Phase::Begin),
+        ("serve.canon", Phase::Begin),
+        ("serve.canon", Phase::End),
+        ("serve.dispatch", Phase::End),
+    ];
+    assert_eq!(serve, [one, one].concat());
+    reset_events();
+    drop(guard);
+}

@@ -230,6 +230,56 @@ proptest! {
     }
 }
 
+/// TTM, TTV and expr chains in every mode of an order-3 and an order-4
+/// catalog tensor, submitted cold (product built) and then warm (product
+/// from the cache): every response is within [`OpSpec::budget`] of
+/// `direct_eval`, and the warm reply is the cold one bit for bit. The
+/// chains end in a COO, a one-dense-mode and a two-dense-mode semi-sparse
+/// output, so every reply-assembly path is exercised.
+#[test]
+fn every_mode_cold_then_warm_matches_direct() {
+    use pasta::serve::{ExprSpec, ExprStep};
+    for (key, scale) in [("s4", 0.02), ("s7", 0.02)] {
+        let x = pasta::gen::find_profile(key).unwrap().generate_scaled(scale).unwrap();
+        let order = x.order();
+        let seed = 23;
+        let chain = |steps: &[ExprStep]| {
+            let mut slots = [None; 4];
+            for (slot, &s) in slots.iter_mut().zip(steps) {
+                *slot = Some(s);
+            }
+            OpSpec::Expr { spec: ExprSpec { steps: slots, seed } }
+        };
+        let mut ops = Vec::new();
+        for mode in 0..order {
+            let next = (mode + 1) % order;
+            ops.push(OpSpec::Ttm { mode, rank: 4, seed });
+            ops.push(OpSpec::Ttv { mode, seed });
+            ops.push(chain(&[
+                ExprStep::Ttm { mode, rank: 3 },
+                ExprStep::Ts { op: TsOp::Mul, scalar: 0.5 },
+            ]));
+            ops.push(chain(&[ExprStep::Tew { op: EwOp::Mul }, ExprStep::Ttv { mode }]));
+            ops.push(chain(&[
+                ExprStep::Ttm { mode, rank: 2 },
+                ExprStep::Ttm { mode: next, rank: 3 },
+            ]));
+        }
+        let reqs: Vec<Request> = ops.iter().map(|&op| Request { tensor: 0, op }).collect();
+        let mut server = server_over(&x, cfg(2, 2, 64 << 20));
+        let cold = server.submit(reqs.clone()).unwrap();
+        let warm = server.submit(reqs).unwrap();
+        for ((op, c), w) in ops.iter().zip(&cold).zip(&warm) {
+            assert!(!c.cache_hit && w.cache_hit, "{key} {op:?}: cold must build, warm must hit");
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&w.values), bits(&c.values), "{key} {op:?}: warm differs from cold");
+            let want = direct_eval(&x, op).unwrap();
+            let ulp = worst_ulp(&c.values, &want).unwrap_or(u64::MAX);
+            assert!(ulp <= op.budget(), "{key} {op:?}: worst {ulp} ULP > {}", op.budget());
+        }
+    }
+}
+
 /// Unknown tensor ids and invalid specs are rejected at admission and
 /// leave the queue untouched (the next window still drains cleanly).
 #[test]
