@@ -59,4 +59,7 @@ PASTA_TRACE=1 cargo run --release -q -p pasta-conformance -- quick
 echo "==> Repo benchmark smoke (scale 0.02, every output and served response verified)"
 bash benchmark/run.sh --smoke > /dev/null
 
+echo "==> Repo benchmark harness unit tests"
+bash benchmark/run.sh --test
+
 echo "==> CI gate passed"

@@ -53,7 +53,7 @@ use crate::pipeline::{
     BackendKind, Ctx, EwOp, FormatKind, FusionChoice, KernelPlan, StrategyChoice, TsOp,
 };
 use crate::workspace::{choose_workspace, FusedWorkspace, WorkspaceKind};
-use crate::{tew_coo_same_pattern, ttm_coo, ttm_scoo, ttv_coo};
+use crate::{tew_coo_same_pattern, ts_in_place, ttm_coo, ttm_scoo, ttv_coo};
 use pasta_core::sort::mode_first_order;
 use pasta_core::{
     CooTensor, Coord, DenseMatrix, DenseVector, Error, HiCooTensor, Result, SemiCooTensor, Shape,
@@ -1231,9 +1231,7 @@ impl<V: Value> ExprPlan<'_, V> {
                 if h.plan.kept().is_empty() {
                     let mut vals = h.plan.execute_full(&vecs, &mats, &ctx)?;
                     for &(op, s) in &h.epilogue {
-                        for v in &mut vals {
-                            *v = op.apply(*v, s);
-                        }
+                        ts_in_place(op, &mut vals, s);
                     }
                     let dims: Vec<Coord> = mats.iter().map(|u| u.cols() as Coord).collect();
                     debug_assert!(self.suffix.is_empty(), "no edge can follow a full contraction");
@@ -1250,9 +1248,7 @@ impl<V: Value> ExprPlan<'_, V> {
                 let mut vals = vec![V::ZERO; h.plan.num_fibers() * dvol];
                 h.plan.execute_into(&vecs, &mats, &mut vals, &ctx, kind)?;
                 for &(op, s) in &h.epilogue {
-                    for v in &mut vals {
-                        *v = op.apply(*v, s);
-                    }
+                    ts_in_place(op, &mut vals, s);
                 }
                 let out = if h.plan.mat_modes().is_empty() {
                     SuffixVal::Coo(h.plan.assemble_coo(vals)?)
@@ -1300,21 +1296,11 @@ impl<V: Value> ExprPlan<'_, V> {
         for op in &self.suffix {
             match op {
                 SuffixOp::Ts { op, scalar } => match &mut cur {
-                    Some(SuffixVal::Coo(t)) => {
-                        for v in t.vals_mut() {
-                            *v = op.apply(*v, *scalar);
-                        }
-                    }
-                    Some(SuffixVal::Semi(s)) => {
-                        for v in s.vals_mut() {
-                            *v = op.apply(*v, *scalar);
-                        }
-                    }
+                    Some(SuffixVal::Coo(t)) => ts_in_place(*op, t.vals_mut(), *scalar),
+                    Some(SuffixVal::Semi(s)) => ts_in_place(*op, s.vals_mut(), *scalar),
                     None => {
                         let mut t = self.base.get().clone();
-                        for v in t.vals_mut() {
-                            *v = op.apply(*v, *scalar);
-                        }
+                        ts_in_place(*op, t.vals_mut(), *scalar);
                         cur = Some(SuffixVal::Coo(t));
                     }
                 },
@@ -1381,9 +1367,7 @@ fn fold_ts<'a, V: Value>(base: BaseTensor<'a, V>, op: TsOp, s: V) -> BaseTensor<
         BaseTensor::Owned(t) => t,
         leaf => leaf.get().clone(),
     };
-    for v in t.vals_mut() {
-        *v = op.apply(*v, s);
-    }
+    ts_in_place(op, t.vals_mut(), s);
     BaseTensor::Owned(t)
 }
 

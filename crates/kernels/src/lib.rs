@@ -95,7 +95,8 @@ pub use tew::{
     tew_hicoo, tew_scoo, tew_shicoo, tew_values_into,
 };
 pub use ts::{
-    ts_any, ts_coo, ts_csf, ts_fcoo, ts_ghicoo, ts_hicoo, ts_scoo, ts_shicoo, ts_values_into,
+    ts_any, ts_coo, ts_csf, ts_fcoo, ts_ghicoo, ts_hicoo, ts_in_place, ts_scoo, ts_shicoo,
+    ts_values_into,
 };
 pub use ttm::{ttm_coo, ttm_hicoo, ttm_scoo, TtmCooPlan, TtmHicooPlan};
 pub use ttv::{ttv_coo, ttv_hicoo, TtvCooPlan, TtvHicooPlan};

@@ -22,31 +22,38 @@ use pasta_core::{
 };
 use pasta_par::{parallel_for, SharedSlice};
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrd};
 
-/// Element-wise value loop shared by the COO and HiCOO kernels.
+/// Element-wise value loop shared by every format's kernel.
 ///
-/// Writes `out[i] = op(x[i], y[i])`; returns an error on division by zero.
+/// Writes `out[i] = op(x[i], y[i])`; returns an error on division by zero
+/// before writing anything.
 fn ew_vals<V: Value>(op: EwOp, x: &[V], y: &[V], out: &mut [V], ctx: &Ctx) -> Result<()> {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len(), out.len());
     if op == EwOp::Div && y.contains(&V::ZERO) {
         return Err(Error::DivisionByZero);
     }
-    let bad = AtomicBool::new(false);
     let shared = SharedSlice::new(out);
     parallel_for(x.len(), ctx.threads, ctx.schedule, |range| {
-        for i in range {
-            let v = op.apply(x[i], y[i]);
-            if !v.is_finite() {
-                bad.store(true, AtomicOrd::Relaxed);
-            }
-            // SAFETY: parallel_for ranges partition the index space.
-            unsafe { shared.write(i, v) };
-        }
+        // SAFETY: parallel_for ranges partition the index space, so no other
+        // worker touches `range` while this slice lives.
+        let out = unsafe { shared.slice_mut(range.clone()) };
+        ew_slice(op, &x[range.clone()], &y[range], out);
     });
-    let _ = bad; // non-finite results are legal (overflow); flag kept for debugging
     Ok(())
+}
+
+/// `out[i] = x[i] op y[i]` over one range. The operator is matched once and
+/// each arm is a zipped slice loop with no aliasing store, so it vectorizes;
+/// every element still gets exactly one IEEE operation.
+fn ew_slice<V: Value>(op: EwOp, x: &[V], y: &[V], out: &mut [V]) {
+    let triples = out.iter_mut().zip(x.iter().zip(y));
+    match op {
+        EwOp::Add => triples.for_each(|(o, (&a, &b))| *o = a + b),
+        EwOp::Sub => triples.for_each(|(o, (&a, &b))| *o = a - b),
+        EwOp::Mul => triples.for_each(|(o, (&a, &b))| *o = a * b),
+        EwOp::Div => triples.for_each(|(o, (&a, &b))| *o = a / b),
+    }
 }
 
 /// The bare TEW value loop on pre-allocated buffers — the portion the
@@ -95,9 +102,9 @@ pub fn tew_any<V: Value, T: FormatAccess<V> + Clone>(
     if !x.same_structure(y) {
         return Err(Error::PatternMismatch);
     }
-    // Pre-processing: the output shares x's structure; values start zeroed.
+    // Pre-processing: the output shares x's structure; the value loop
+    // overwrites every stored value.
     let mut z = x.clone();
-    z.stored_vals_mut().fill(V::ZERO);
     ew_vals(op, x.stored_vals(), y.stored_vals(), z.stored_vals_mut(), ctx)?;
     Ok(z)
 }

@@ -12,7 +12,7 @@ use pasta_core::{
 };
 use pasta_par::{parallel_for, SharedSlice};
 
-/// The tensor-scalar value loop shared by the COO and HiCOO kernels.
+/// The tensor-scalar value loop shared by every format's kernel.
 fn ts_vals<V: Value>(op: TsOp, x: &[V], s: V, out: &mut [V], ctx: &Ctx) -> Result<()> {
     debug_assert_eq!(x.len(), out.len());
     if op == TsOp::Div && s == V::ZERO {
@@ -20,12 +20,41 @@ fn ts_vals<V: Value>(op: TsOp, x: &[V], s: V, out: &mut [V], ctx: &Ctx) -> Resul
     }
     let shared = SharedSlice::new(out);
     parallel_for(x.len(), ctx.threads, ctx.schedule, |range| {
-        for i in range {
-            // SAFETY: parallel_for ranges partition the index space.
-            unsafe { shared.write(i, op.apply(x[i], s)) };
-        }
+        // SAFETY: parallel_for ranges partition the index space, so no other
+        // worker touches `range` while this slice lives.
+        let out = unsafe { shared.slice_mut(range.clone()) };
+        ts_slice(op, &x[range], s, out);
     });
     Ok(())
+}
+
+/// `out[i] = x[i] op s` over one range. The operator is matched once and
+/// each arm is a zipped slice loop with no aliasing store, so it vectorizes;
+/// every element still gets exactly one IEEE operation.
+fn ts_slice<V: Value>(op: TsOp, x: &[V], s: V, out: &mut [V]) {
+    let pairs = out.iter_mut().zip(x);
+    match op {
+        TsOp::Add => pairs.for_each(|(o, &a)| *o = a + s),
+        TsOp::Sub => pairs.for_each(|(o, &a)| *o = a - s),
+        TsOp::Mul => pairs.for_each(|(o, &a)| *o = a * s),
+        TsOp::Div => pairs.for_each(|(o, &a)| *o = a / s),
+    }
+}
+
+/// `v = v op s` for every element of `vals`, sequentially and in place —
+/// the same loop shape as the TS kernel, for values already owned by the
+/// caller (expression-graph epilogues and folded TS edges).
+///
+/// Unlike [`ts_values_into`] this does not reject `Div` by zero; callers
+/// that must, check first.
+pub fn ts_in_place<V: Value>(op: TsOp, vals: &mut [V], s: V) {
+    let vals = vals.iter_mut();
+    match op {
+        TsOp::Add => vals.for_each(|v| *v += s),
+        TsOp::Sub => vals.for_each(|v| *v -= s),
+        TsOp::Mul => vals.for_each(|v| *v *= s),
+        TsOp::Div => vals.for_each(|v| *v /= s),
+    }
 }
 
 /// The bare TS value loop on pre-allocated buffers — the portion the
