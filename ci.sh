@@ -21,33 +21,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> MTTKRP bench smoke (strategy dispatch, untimed)"
-PASTA_BENCH_SCALE=0.02 cargo bench -p pasta-bench --bench mttkrp -- --test
-
-echo "==> Tuner smoke (--tune on s1 completes and round-trips its JSON)"
-cargo run --release -q -p pasta-bench --bin hostrun -- --tune s1 0.02 2 > /dev/null
-
-echo "==> Fused e2e smoke (CPD-ALS + Tucker ablation + graph-lowered CPD rows)"
-E2E_OUT=$(cargo run --release -q -p pasta-bench --bin hostrun -- --e2e s1 0.02 2)
-grep -c "TUCKER-HOOI" <<< "$E2E_OUT" > /dev/null
-grep -c "CPD-GRAPH" <<< "$E2E_OUT" > /dev/null
-
 echo "==> Expression-graph proptests under PASTA_TRACE=1 (tracing must not perturb lowering)"
 PASTA_TRACE=1 cargo test -q -p pasta --test expr_props
-
-echo "==> Traced hostrun smoke (valid chrome trace + advisory regression gate)"
-cargo run --release -q -p pasta-bench --bin hostrun -- --trace \
-  --check-regress results/BENCH_host.json --regress-advisory s1 0.02 2 > /dev/null
-cargo run --release -q -p pasta-bench --bin hostrun -- --check-trace results/TRACE_host.json
-
-echo "==> Serve loadgen smoke (seeded stream, warm-pass cache hits, replay round-trip)"
-cargo run --release -q -p pasta-bench --bin servebench -- \
-  --passes 2 --count 60 --scale 0.01 --check --write-reqs results/SERVE_ci.reqs > /dev/null
-cargo run --release -q -p pasta-bench --bin servebench -- \
-  --reqs results/SERVE_ci.reqs --passes 2 --scale 0.01 --check > /dev/null
-cargo run --release -q -p pasta-bench --bin servebench -- \
-  --passes 1 --count 40 --scale 0.01 --no-cache --check > /dev/null
-rm -f results/SERVE_ci.reqs
 
 echo "==> Conformance matrix (quick tier + selftest)"
 cargo run --release -q -p pasta-conformance -- quick
@@ -61,5 +36,9 @@ bash benchmark/run.sh --smoke > /dev/null
 
 echo "==> Repo benchmark harness unit tests"
 bash benchmark/run.sh --test
+
+echo "==> Paper artifacts regenerate byte for byte"
+bash results/regen.sh
+git diff --exit-code -- results/
 
 echo "==> CI gate passed"

@@ -6,11 +6,8 @@
 //! SPD solve.
 
 use pasta_core::linalg::{gram, hadamard, normalize_columns, Cholesky};
-use pasta_core::{seeded_matrix, CooTensor, DenseMatrix, Error, Result, TensorStats, Value};
-use pasta_kernels::{
-    mttkrp_coo, mttkrp_hicoo, Ctx, FormatKind, FusedAlsSweep, FusionChoice, Kernel, TensorBucket,
-    TuneTable,
-};
+use pasta_core::{seeded_matrix, CooTensor, DenseMatrix, Error, Result, Value};
+use pasta_kernels::{mttkrp_coo, mttkrp_hicoo, Ctx, FormatKind, FusedAlsSweep, FusionChoice};
 
 /// Which kernel backend CP-ALS drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,29 +54,6 @@ impl CpdOptions {
         match self.backend {
             CpdBackend::Coo => FormatKind::Coo,
             CpdBackend::Hicoo(_) => FormatKind::Hicoo,
-        }
-    }
-
-    /// Applies measured tuned parameters from a [`TuneTable`] (the
-    /// host-keyed `results/TUNE_<hostkey>.json` produced by
-    /// `hostrun --tune`) to the
-    /// execution context via [`Ctx::with_tuning`]: the MTTKRP row for the
-    /// backend's format matching the tensor's bucket drives the sweep's
-    /// schedule. No matching row leaves the context untouched.
-    pub fn with_tuning_from(mut self, table: &TuneTable, stats: &TensorStats) -> Self {
-        let bucket = TensorBucket::from_stats(stats).key();
-        if let Some(e) = table.lookup(Kernel::Mttkrp, self.format(), &bucket) {
-            self.ctx = self.ctx.with_tuning(e.params);
-        }
-        self
-    }
-
-    /// [`Self::with_tuning_from`] against a table file on disk; a missing
-    /// or unreadable table leaves the options unchanged.
-    pub fn load_tuning(self, path: &std::path::Path, stats: &TensorStats) -> Self {
-        match TuneTable::load(path) {
-            Ok(table) => self.with_tuning_from(&table, stats),
-            Err(_) => self,
         }
     }
 }
@@ -439,33 +413,6 @@ mod tests {
             after[CounterId::FusedPlanCacheHits] >= before[CounterId::FusedPlanCacheHits] + 10 * 3
         );
         assert!(after[CounterId::FusedChains] >= before[CounterId::FusedChains] + 10);
-    }
-
-    #[test]
-    fn tuned_parameter_loading_applies_to_ctx() {
-        use pasta_kernels::{TuneEntry, TuneTable, TunedParams};
-        let x = rank_r_tensor(&[6, 5, 4], 2, 2);
-        let stats = TensorStats::compute(&x);
-        let bucket = TensorBucket::from_stats(&stats).key();
-        let mut table = TuneTable::default();
-        table.upsert(TuneEntry {
-            kernel: Kernel::Mttkrp,
-            format: FormatKind::Coo,
-            bucket,
-            threads: 1,
-            params: TunedParams { chunk: 512, dense_threshold: 8, block_size: 32 },
-            baseline_ns: 10.0,
-            tuned_ns: 5.0,
-        });
-        let opts = CpdOptions::default().with_tuning_from(&table, &stats);
-        assert_eq!(opts.ctx.tuning.map(|t| t.chunk), Some(512));
-        // HiCOO backend looks up the HiCOO row; no row -> untouched.
-        let opts_h = CpdOptions { backend: CpdBackend::Hicoo(4), ..Default::default() }
-            .with_tuning_from(&table, &stats);
-        assert!(opts_h.ctx.tuning.is_none());
-        let opts_missing = CpdOptions::default()
-            .load_tuning(std::path::Path::new("/nonexistent/tune.json"), &stats);
-        assert!(opts_missing.ctx.tuning.is_none());
     }
 
     #[test]

@@ -21,11 +21,10 @@
 //!   regression-tested against the fused route.
 
 use crate::eig::{leading_vectors, sym_eig};
-use pasta_core::{CooTensor, DenseMatrix, Error, Result, SemiCooTensor, Shape, TensorStats, Value};
+use pasta_core::{CooTensor, DenseMatrix, Error, Result, SemiCooTensor, Shape, Value};
 use pasta_kernels::{
     choose_fusion, counters, lower, ttm_coo, ttm_scoo, Bindings, CounterId, Ctx, ExprGraph,
-    ExprOut, ExprPlan, FormatKind, FuseDecision, FusionChoice, FusionParams, Kernel, MatOperand,
-    TensorBucket, TuneTable,
+    ExprOut, ExprPlan, FuseDecision, FusionChoice, FusionParams, MatOperand,
 };
 
 /// Tucker/HOOI options.
@@ -44,31 +43,6 @@ pub struct TuckerOptions {
 impl Default for TuckerOptions {
     fn default() -> Self {
         Self { ranks: Vec::new(), max_iters: 5, seed: 1, ctx: Ctx::sequential() }
-    }
-}
-
-impl TuckerOptions {
-    /// Applies measured tuned parameters from a [`TuneTable`] (the
-    /// host-keyed `results/TUNE_<hostkey>.json` produced by
-    /// `hostrun --tune`) to the
-    /// execution context via [`Ctx::with_tuning`]: the TTM row matching
-    /// the tensor's bucket drives the chain's schedule. No matching row
-    /// leaves the context untouched.
-    pub fn with_tuning_from(mut self, table: &TuneTable, stats: &TensorStats) -> Self {
-        let bucket = TensorBucket::from_stats(stats).key();
-        if let Some(e) = table.lookup(Kernel::Ttm, FormatKind::Coo, &bucket) {
-            self.ctx = self.ctx.with_tuning(e.params);
-        }
-        self
-    }
-
-    /// [`Self::with_tuning_from`] against a table file on disk; a missing
-    /// or unreadable table leaves the options unchanged.
-    pub fn load_tuning(self, path: &std::path::Path, stats: &TensorStats) -> Self {
-        match TuneTable::load(path) {
-            Ok(table) => self.with_tuning_from(&table, stats),
-            Err(_) => self,
-        }
     }
 }
 
@@ -489,30 +463,6 @@ mod tests {
         assert!(after[CounterId::FusedChains] > before[CounterId::FusedChains]);
         // 2 sweeps × 3 modes reuse 3 plans; the core plan is built once.
         assert!(after[CounterId::FusedPlanCacheHits] >= before[CounterId::FusedPlanCacheHits] + 3);
-    }
-
-    #[test]
-    fn tuned_parameter_loading_applies_to_ctx() {
-        use pasta_kernels::{TuneEntry, TunedParams};
-        let x = diag_tensor(5);
-        let stats = TensorStats::compute(&x);
-        let bucket = TensorBucket::from_stats(&stats).key();
-        let mut table = TuneTable::default();
-        table.upsert(TuneEntry {
-            kernel: Kernel::Ttm,
-            format: FormatKind::Coo,
-            bucket,
-            threads: 1,
-            params: TunedParams { chunk: 1024, dense_threshold: 4, block_size: 64 },
-            baseline_ns: 10.0,
-            tuned_ns: 5.0,
-        });
-        let opts = TuckerOptions::default().with_tuning_from(&table, &stats);
-        assert_eq!(opts.ctx.tuning.map(|t| t.chunk), Some(1024));
-        // Missing file: options unchanged.
-        let opts2 = TuckerOptions::default()
-            .load_tuning(std::path::Path::new("/nonexistent/tune.json"), &stats);
-        assert!(opts2.ctx.tuning.is_none());
     }
 
     #[test]

@@ -3,13 +3,22 @@
 //!
 //! Usage: `ert [threads] [max_mb]`
 
+use pasta_bench::{arg_or, usage_exit};
 use pasta_par::default_threads;
 use pasta_platform::{run_ert, StreamKernel};
 
+const USAGE: &str = "ert [threads] [max_mb]";
+
 fn main() {
-    let threads: usize =
-        std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or_else(default_threads);
-    let max_mb: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(256);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.len() > 2 {
+        usage_exit(USAGE);
+    }
+    let threads: usize = arg_or(args.first().map(String::as_str), default_threads(), USAGE);
+    let max_mb: usize = arg_or(args.get(1).map(String::as_str), 256, USAGE);
+    if threads == 0 || max_mb == 0 {
+        usage_exit(USAGE);
+    }
     println!("# Host ERT sweep — {threads} threads, up to {max_mb} MiB working set");
     for kernel in [StreamKernel::Copy, StreamKernel::Scale, StreamKernel::Add, StreamKernel::Triad]
     {

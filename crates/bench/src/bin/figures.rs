@@ -12,14 +12,21 @@
 use pasta_bench::datasets::{load_dataset, DatasetKind};
 use pasta_bench::figures::{figure_rows, to_csv, FigureRow};
 use pasta_bench::gpu::simulate;
+use pasta_bench::{scale_or, usage_exit};
 use pasta_kernels::Kernel;
 use pasta_platform::{find_platform, Format};
 
+const USAGE: &str = "figures <bluesky|wingtip|dgx1p|dgx1v> [scale] [--simulate]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(name) = args.first() else {
-        eprintln!("usage: figures <bluesky|wingtip|dgx1p|dgx1v> [scale] [--simulate]");
-        std::process::exit(2);
+    let (flags, positional): (Vec<&str>, Vec<&str>) =
+        args.iter().map(String::as_str).partition(|a| a.starts_with("--"));
+    if positional.len() > 2 || flags.iter().any(|&f| f != "--simulate") {
+        usage_exit(USAGE);
+    }
+    let Some(name) = positional.first() else {
+        usage_exit(USAGE);
     };
     let lower = name.to_ascii_lowercase();
     let lookup = match lower.as_str() {
@@ -31,10 +38,10 @@ fn main() {
     };
     let Some(spec) = find_platform(lookup) else {
         eprintln!("unknown platform {name:?}");
-        std::process::exit(2);
+        usage_exit(USAGE);
     };
-    let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let simulate_flag = args.iter().any(|a| a == "--simulate");
+    let scale = scale_or(positional.get(1).copied(), 1.0, USAGE);
+    let simulate_flag = flags.contains(&"--simulate");
 
     let fig = match spec.name {
         "Bluesky" => 4,

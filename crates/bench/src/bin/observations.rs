@@ -5,10 +5,17 @@
 use pasta_bench::datasets::{load_dataset, DatasetKind};
 use pasta_bench::figures::{figure_rows, FigureRow};
 use pasta_bench::observations::{obs1, obs2, obs3, obs4, obs5, render};
+use pasta_bench::{scale_or, usage_exit};
 use pasta_platform::{bluesky, dgx1p, dgx1v, wingtip};
 
+const USAGE: &str = "observations [scale]";
+
 fn main() {
-    let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0.25);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.len() > 1 {
+        usage_exit(USAGE);
+    }
+    let scale = scale_or(args.first().map(String::as_str), 0.25, USAGE);
     eprintln!("materializing datasets at scale {scale}...");
     let syn = load_dataset(DatasetKind::Synthetic, scale);
     let real = load_dataset(DatasetKind::Real, scale);

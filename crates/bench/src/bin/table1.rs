@@ -1,17 +1,24 @@
 //! Regenerates Table I: the kernel flop/byte/OI analysis.
 //!
-//! Usage: `table1 [tensor-id]` — with a tensor id (default `s2`/regM) the
-//! parameters `M`, `M_F`, `n_b` come from the actually generated tensor.
+//! Usage: `table1 [tensor-id] [scale]` — the parameters `M`, `M_F`, `n_b`
+//! come from the actually generated tensor (default `s2`/regM at scale 1).
 
 use pasta_bench::datasets::{load_one, BLOCK_SIZE, RANK};
 use pasta_bench::tables::table1;
+use pasta_bench::{scale_or, usage_exit};
+
+const USAGE: &str = "table1 [tensor-id] [scale]";
 
 fn main() {
-    let key = std::env::args().nth(1).unwrap_or_else(|| "s2".to_string());
-    let scale: f64 = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let bt = load_one(&key, scale).unwrap_or_else(|| {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.len() > 2 {
+        usage_exit(USAGE);
+    }
+    let key = args.first().map_or("s2", String::as_str);
+    let scale = scale_or(args.get(1).map(String::as_str), 1.0, USAGE);
+    let bt = load_one(key, scale).unwrap_or_else(|| {
         eprintln!("unknown tensor {key:?}; try r1..r15, s1..s15 or a name like regM");
-        std::process::exit(2);
+        usage_exit(USAGE);
     });
     // Use the mode with the fewest fibers, as Table I's M_F ≪ M intends.
     let mf = bt.stats.min_fiber_count() as f64;

@@ -6,21 +6,26 @@
 
 use pasta_bench::datasets::DatasetKind;
 use pasta_bench::tables::table2;
+use pasta_bench::{arg_or, scale_or, usage_exit};
 use pasta_gen::{real_profiles, synthetic_profiles};
+
+const USAGE: &str = "table2 [real|synthetic] [--generate [scale]]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let kind: DatasetKind = args
-        .first()
-        .map(|s| s.parse().unwrap_or(DatasetKind::Synthetic))
-        .unwrap_or(DatasetKind::Synthetic);
-    let generate = args.iter().any(|a| a == "--generate");
-    let scale: f64 = args
-        .iter()
-        .skip_while(|a| *a != "--generate")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (kind, rest) = match args.split_first() {
+        Some((&kind, rest)) if kind != "--generate" => {
+            (arg_or(Some(kind), DatasetKind::Synthetic, USAGE), rest)
+        }
+        _ => (DatasetKind::Synthetic, &args[..]),
+    };
+    let generate = match rest {
+        [] => None,
+        ["--generate"] => Some(1.0),
+        ["--generate", scale] => Some(scale_or(Some(scale), 1.0, USAGE)),
+        _ => usage_exit(USAGE),
+    };
 
     let profiles = match kind {
         DatasetKind::Real => real_profiles(),
@@ -31,7 +36,7 @@ fn main() {
         DatasetKind::Synthetic => "Table II(b) — synthetic tensors",
     };
     println!("{title} (dims and nnz scaled from the paper as documented in DESIGN.md)\n");
-    if generate {
+    if let Some(scale) = generate {
         let actual: Vec<usize> = profiles
             .iter()
             .map(|p| {

@@ -77,7 +77,7 @@ pub struct OpMix {
 }
 
 impl Default for OpMix {
-    /// The servebench default: streaming kernels dominate, decomposition
+    /// The default mix: streaming kernels dominate, decomposition
     /// jobs are rare, and Tucker and composite expression jobs are off
     /// (Tucker's dense per-mode eigensolve is cubic in the mode
     /// dimension; expr chains are opted into per stream so legacy `.reqs`

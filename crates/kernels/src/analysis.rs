@@ -145,7 +145,7 @@ pub fn kernel_cost(kernel: Kernel, p: &CostParams) -> KernelCost {
 ///
 /// [`StrategyChoice`](crate::pipeline::StrategyChoice) is the *request*
 /// (auto/forced); this is the *outcome*, reported by the traced kernel
-/// entry points and surfaced in `hostrun --json`.
+/// entry points and counted in the per-strategy `mttkrp.*_nnz` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MttkrpStrategy {
     /// Single-threaded plain accumulation.
@@ -216,20 +216,6 @@ pub struct MttkrpSchedParams {
 ///   [`MttkrpStrategy::PrivatizedSparse`], whose hashed accumulators scale
 ///   with touched rows instead of `out_rows`.
 pub fn choose_mttkrp_strategy(p: &MttkrpSchedParams) -> MttkrpStrategy {
-    choose_mttkrp_strategy_with(p, DEFAULT_DENSE_THRESHOLD)
-}
-
-/// The built-in dense-privatization threshold `T` in `threads·rows ≤ T·nnz`
-/// (the `4×` of [`choose_mttkrp_strategy`]); the measured autotuner in
-/// [`tune`](crate::tune) calibrates a per-bucket replacement.
-pub const DEFAULT_DENSE_THRESHOLD: usize = 4;
-
-/// [`choose_mttkrp_strategy`] with an explicit dense-privatization
-/// threshold `T` (measured by the autotuner) in place of the built-in
-/// [`DEFAULT_DENSE_THRESHOLD`]. The small-output clause
-/// (`out_rows·rank ≤ 2¹⁶`) stays a hard floor regardless of `T`: one tiny
-/// accumulator per worker is never worth hashing.
-pub fn choose_mttkrp_strategy_with(p: &MttkrpSchedParams, threshold: usize) -> MttkrpStrategy {
     if p.threads <= 1 || p.nnz <= 1 {
         return MttkrpStrategy::Sequential;
     }
@@ -237,7 +223,7 @@ pub fn choose_mttkrp_strategy_with(p: &MttkrpSchedParams, threshold: usize) -> M
         return MttkrpStrategy::Owner;
     }
     let dense_cells = p.threads.saturating_mul(p.out_rows);
-    if dense_cells <= threshold.saturating_mul(p.nnz)
+    if dense_cells <= DEFAULT_DENSE_THRESHOLD.saturating_mul(p.nnz)
         || p.out_rows.saturating_mul(p.rank) <= (1 << 16)
     {
         MttkrpStrategy::PrivatizedDense
@@ -245,6 +231,11 @@ pub fn choose_mttkrp_strategy_with(p: &MttkrpSchedParams, threshold: usize) -> M
         MttkrpStrategy::PrivatizedSparse
     }
 }
+
+/// The dense-privatization threshold `T` in `threads·rows ≤ T·nnz` (the
+/// `4×` of [`choose_mttkrp_strategy`]), shared with the fused-workspace
+/// choice.
+pub const DEFAULT_DENSE_THRESHOLD: usize = 4;
 
 /// Whether a plan that owns its tensor copy should radix re-sort it mode-`n`
 /// outermost to unlock owner-computes, instead of privatizing.
@@ -311,112 +302,6 @@ pub fn choose_fusion(p: &FusionParams) -> FuseDecision {
     } else {
         FuseDecision::Fuse
     }
-}
-
-/// One measured kernel execution, ready for roofline-gap comparison.
-///
-/// `flops`/`bytes` come from the Table I model ([`kernel_cost`]); `time_s`
-/// is the measured wall time. The bench harness collects one sample per
-/// timed repetition and feeds them to [`roofline_report`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RooflineSample {
-    /// Which kernel ran.
-    pub kernel: Kernel,
-    /// Format label (`"coo"`, `"hicoo"`, …).
-    pub format: String,
-    /// Tensor-bucket label from the tuner taxonomy.
-    pub bucket: String,
-    /// Measured wall time in seconds.
-    pub time_s: f64,
-    /// Model flop count for the run.
-    pub flops: f64,
-    /// Model upper-bound bytes moved for the run.
-    pub bytes: f64,
-}
-
-/// The model-vs-measured gap for one (aggregated) sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RooflineGap {
-    /// Measured GFLOP/s (model flops over measured time).
-    pub achieved_gflops: f64,
-    /// Measured GB/s (model bytes over measured time).
-    pub achieved_gbps: f64,
-    /// Operational intensity of the model (flops / bytes).
-    pub oi: f64,
-    /// The roofline bound: `min(peak_gflops, oi × peak_gbps)`.
-    pub bound_gflops: f64,
-    /// Achieved fraction of the bound, in `[0, ∞)` (model is an upper
-    /// bound on traffic, so > 1 means the model under-counts reuse).
-    pub fraction: f64,
-}
-
-/// Host peak compute and bandwidth `(GFLOP/s, GB/s)` for roofline bounds.
-///
-/// Reads `PASTA_PEAK_GFLOPS` / `PASTA_PEAK_GBPS`; without calibration it
-/// falls back to deliberately conservative single-socket defaults, so the
-/// printed fractions are comparable run-to-run rather than absolute.
-pub fn host_peaks() -> (f64, f64) {
-    let read = |key: &str, default: f64| {
-        std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&v| v > 0.0).unwrap_or(default)
-    };
-    (read("PASTA_PEAK_GFLOPS", 32.0), read("PASTA_PEAK_GBPS", 16.0))
-}
-
-/// Compares one sample against the roofline defined by the given peaks.
-pub fn roofline_gap(s: &RooflineSample, peak_gflops: f64, peak_gbps: f64) -> RooflineGap {
-    let t = s.time_s.max(1e-12);
-    let oi = s.flops / s.bytes.max(1.0);
-    let bound_gflops = peak_gflops.min(oi * peak_gbps);
-    let achieved_gflops = s.flops / t / 1e9;
-    RooflineGap {
-        achieved_gflops,
-        achieved_gbps: s.bytes / t / 1e9,
-        oi,
-        bound_gflops,
-        fraction: achieved_gflops / bound_gflops.max(1e-12),
-    }
-}
-
-/// Renders the per-`(kernel, format, bucket)` roofline-gap table.
-///
-/// Samples sharing a key are aggregated (times, flops and bytes summed —
-/// equivalent to a time-weighted average of their rates) and compared
-/// against [`host_peaks`]. Returns the empty string for no samples.
-pub fn roofline_report(samples: &[RooflineSample]) -> String {
-    use std::collections::BTreeMap;
-    if samples.is_empty() {
-        return String::new();
-    }
-    let (peak_gflops, peak_gbps) = host_peaks();
-    let mut groups: BTreeMap<(&str, &str, &str), RooflineSample> = BTreeMap::new();
-    for s in samples {
-        groups
-            .entry((s.kernel.label(), s.format.as_str(), s.bucket.as_str()))
-            .and_modify(|acc| {
-                acc.time_s += s.time_s;
-                acc.flops += s.flops;
-                acc.bytes += s.bytes;
-            })
-            .or_insert_with(|| s.clone());
-    }
-    let mut out = format!(
-        "roofline gap vs model (peaks {peak_gflops:.1} GFLOP/s, {peak_gbps:.1} GB/s; \
-         calibrate via PASTA_PEAK_GFLOPS/PASTA_PEAK_GBPS)\n{:<8} {:<8} {:<16} {:>8} {:>12} \
-         {:>12} {:>10} {:>7}\n",
-        "kernel", "format", "bucket", "oi", "bound GF/s", "meas GF/s", "meas GB/s", "frac"
-    );
-    for ((kernel, format, bucket), agg) in &groups {
-        let g = roofline_gap(agg, peak_gflops, peak_gbps);
-        out.push_str(&format!(
-            "{kernel:<8} {format:<8} {bucket:<16} {:>8.4} {:>12.3} {:>12.3} {:>10.3} {:>6.1}%\n",
-            g.oi,
-            g.bound_gflops,
-            g.achieved_gflops,
-            g.achieved_gbps,
-            g.fraction * 100.0
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -538,30 +423,6 @@ mod tests {
         assert!(!resort_pays_off(&sched(1_000_000, 1_000, 8, false)));
         // Never for one thread.
         assert!(!resort_pays_off(&sched(10, 1_000_000, 1, false)));
-    }
-
-    #[test]
-    fn roofline_gap_and_report() {
-        let s = RooflineSample {
-            kernel: Kernel::Mttkrp,
-            format: "coo".into(),
-            bucket: "large".into(),
-            time_s: 1.0,
-            flops: 4e9,
-            bytes: 16e9,
-        };
-        let g = roofline_gap(&s, 32.0, 16.0);
-        assert!((g.oi - 0.25).abs() < 1e-12);
-        assert!((g.bound_gflops - 4.0).abs() < 1e-12); // bandwidth-bound
-        assert!((g.achieved_gflops - 4.0).abs() < 1e-9);
-        assert!((g.fraction - 1.0).abs() < 1e-9);
-        let report = roofline_report(&[s.clone(), s]);
-        assert!(report.contains("MTTKRP"));
-        assert!(report.contains("coo"));
-        assert!(report.contains("large"));
-        // Aggregation is rate-preserving: two identical samples, same gap.
-        assert!(report.contains("100.0%"));
-        assert!(roofline_report(&[]).is_empty());
     }
 
     #[test]

@@ -46,6 +46,7 @@ use std::sync::Arc;
 
 use crate::analysis::{
     choose_fusion, resort_pays_off, FuseDecision, FusionParams, Kernel, MttkrpSchedParams,
+    DEFAULT_DENSE_THRESHOLD,
 };
 use crate::microkernel::axpy;
 use crate::mttkrp::{mttkrp_coo, mttkrp_hicoo, MttkrpCooPlan};
@@ -1243,7 +1244,7 @@ impl<V: Value> ExprPlan<'_, V> {
                     dvol,
                     h.plan.base().nnz(),
                     ctx.threads,
-                    ctx.dense_threshold(),
+                    DEFAULT_DENSE_THRESHOLD,
                 );
                 let mut vals = vec![V::ZERO; h.plan.num_fibers() * dvol];
                 h.plan.execute_into(&vecs, &mats, &mut vals, &ctx, kind)?;

@@ -32,7 +32,7 @@
 //! [`pasta_obs`] registry record what ran so benches and tests can assert
 //! the no-materialization invariant.
 
-use crate::analysis::Kernel;
+use crate::analysis::{Kernel, DEFAULT_DENSE_THRESHOLD};
 use crate::expr::{lower, Bindings, ContractionPlan, ExprGraph, ExprOut, ExprPlan};
 use crate::pipeline::{BackendKind, Ctx, FormatKind, KernelPlan};
 use crate::workspace::{choose_workspace, WorkspaceKind};
@@ -133,7 +133,7 @@ impl<V: Value> FusedTtvPlan<V> {
             1,
             self.inner.base().nnz(),
             ctx.threads,
-            ctx.dense_threshold(),
+            DEFAULT_DENSE_THRESHOLD,
         );
         self.execute_values_with(vecs, out, ctx, kind)
     }
@@ -273,7 +273,7 @@ impl<V: Value> FusedTtmChainPlan<V> {
             dvol,
             self.inner.base().nnz(),
             ctx.threads,
-            ctx.dense_threshold(),
+            DEFAULT_DENSE_THRESHOLD,
         );
         self.execute_with(factors, ctx, kind)
     }

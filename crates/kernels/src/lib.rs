@@ -66,14 +66,12 @@ pub mod tew;
 pub mod ts;
 pub mod ttm;
 pub mod ttv;
-pub mod tune;
 pub mod workspace;
 
 pub use analysis::{
-    choose_fusion, choose_mttkrp_strategy, choose_mttkrp_strategy_with, host_peaks, kernel_cost,
-    resort_pays_off, roofline_gap, roofline_report, CostParams, FuseDecision, FusionParams, Kernel,
-    KernelCost, MttkrpSchedParams, MttkrpStrategy, RooflineGap, RooflineSample,
-    DEFAULT_DENSE_THRESHOLD, FUSE_WORKSPACE_FACTOR,
+    choose_fusion, choose_mttkrp_strategy, kernel_cost, resort_pays_off, CostParams, FuseDecision,
+    FusionParams, Kernel, KernelCost, MttkrpSchedParams, MttkrpStrategy, DEFAULT_DENSE_THRESHOLD,
+    FUSE_WORKSPACE_FACTOR,
 };
 pub use csf::{mttkrp_csf_root, ttv_csf_leaf, CsfTtvPlan};
 pub use expr::{
@@ -88,7 +86,7 @@ pub use mttkrp::{
 };
 pub use pipeline::{
     fused_registry, owner_ranges, registry, BackendKind, Combo, Ctx, EwOp, ExecRoute, FormatKind,
-    FusedExprKind, FusedRoute, FusionChoice, KernelPlan, StrategyChoice, TsOp,
+    FusedExprKind, FusedRoute, FusionChoice, KernelPlan, StrategyChoice, TsOp, DEFAULT_BLOCK_SIZE,
 };
 pub use tew::{
     tew_any, tew_coo, tew_coo_general, tew_coo_same_pattern, tew_csf, tew_fcoo, tew_ghicoo,
@@ -100,13 +98,9 @@ pub use ts::{
 };
 pub use ttm::{ttm_coo, ttm_hicoo, ttm_scoo, TtmCooPlan, TtmHicooPlan};
 pub use ttv::{ttv_coo, ttv_hicoo, TtvCooPlan, TtvHicooPlan};
-pub use tune::{
-    host_key, host_llc_bytes, tune_tensor, TensorBucket, TuneEntry, TuneTable, TunedParams,
-    DEFAULT_BLOCK_SIZE,
-};
 pub use workspace::{choose_workspace, FusedWorkspace, WorkspaceKind};
 
 // The unified observability registry, re-exported so downstream crates
-// (pasta-algos, the bench harness) need no direct pasta-obs dependency.
+// (pasta-algos) need no direct pasta-obs dependency.
 pub use pasta_obs as obs;
 pub use pasta_obs::{counters, CounterId, CounterRegistry, CounterSnapshot};

@@ -68,7 +68,7 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Stable lowercase label used in `hostrun` rows and tuning tables.
+    /// Stable lowercase label used in reports and test messages.
     pub fn label(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",

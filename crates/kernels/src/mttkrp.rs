@@ -30,7 +30,7 @@
 //! [`microkernel`](crate::microkernel)s. Per-strategy work counters are
 //! kept under the `mttkrp.*` names of the unified [`pasta_obs`] registry.
 
-use crate::analysis::{choose_mttkrp_strategy_with, MttkrpSchedParams, MttkrpStrategy};
+use crate::analysis::{choose_mttkrp_strategy, MttkrpSchedParams, MttkrpStrategy};
 use crate::microkernel::{add_assign, mul_assign, prefetch_read};
 use crate::pipeline::{owner_ranges, SparseAcc};
 use crate::pipeline::{Ctx, StrategyChoice};
@@ -95,18 +95,11 @@ fn resolve_strategy(ctx: &Ctx, p: &MttkrpSchedParams, rows_sorted: bool) -> Mttk
     if p.threads <= 1 || p.nnz <= 1 {
         return MttkrpStrategy::Sequential;
     }
-    let threshold = ctx.dense_threshold();
     match ctx.mttkrp {
-        StrategyChoice::Auto => choose_mttkrp_strategy_with(p, threshold),
+        StrategyChoice::Auto => choose_mttkrp_strategy(p),
         StrategyChoice::Owner if rows_sorted => MttkrpStrategy::Owner,
         StrategyChoice::Owner | StrategyChoice::Privatized => {
-            match choose_mttkrp_strategy_with(
-                &MttkrpSchedParams { mode_outermost_sorted: false, ..*p },
-                threshold,
-            ) {
-                MttkrpStrategy::Sequential => MttkrpStrategy::Sequential,
-                s => s,
-            }
+            choose_mttkrp_strategy(&MttkrpSchedParams { mode_outermost_sorted: false, ..*p })
         }
     }
 }
@@ -320,11 +313,23 @@ fn merge_privatized_dense<V: Value>(out: &mut [V], bufs: &[Vec<V>], threads: usi
 /// Tile length (in values) for [`merge_privatized_dense`]: the destination
 /// tile plus one streaming source tile should fit in half the last-level
 /// cache (`2 · tile · BYTES ≤ LLC/2`), leaving the other half for the fill
-/// phase's factor rows. The LLC size comes from
-/// [`host_llc_bytes`](crate::tune::host_llc_bytes) (`PASTA_LLC_BYTES`
-/// override, else a conservative default).
+/// phase's factor rows. The LLC size comes from [`host_llc_bytes`].
 fn merge_tile_len<V: Value>() -> usize {
-    (crate::tune::host_llc_bytes() / (4 * V::BYTES)).max(1024)
+    (host_llc_bytes() / (4 * V::BYTES)).max(1024)
+}
+
+/// The host's last-level cache size in bytes, which sizes the merge tiles.
+///
+/// Override with `PASTA_LLC_BYTES`; defaults to a conservative 32 MiB.
+fn host_llc_bytes() -> usize {
+    static LLC: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *LLC.get_or_init(|| {
+        std::env::var("PASTA_LLC_BYTES")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&b| b > 0)
+            .unwrap_or(32 << 20)
+    })
 }
 
 /// Sequential accumulation of `chunk` into `out` (full output slice).
@@ -607,6 +612,11 @@ fn hicoo_blocks_offset<V: Value>(
 mod tests {
     use super::*;
     use crate::dense_ref::mttkrp_dense;
+
+    #[test]
+    fn llc_default_is_positive() {
+        assert!(host_llc_bytes() > 0);
+    }
 
     fn sample() -> CooTensor<f64> {
         CooTensor::from_entries(

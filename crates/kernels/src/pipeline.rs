@@ -168,6 +168,9 @@ pub enum FusionChoice {
     Materialize,
 }
 
+/// Default HiCOO block size (the paper fixes `B = 128`).
+pub const DEFAULT_BLOCK_SIZE: u32 = 128;
+
 /// How a kernel should execute: worker count and loop schedule.
 ///
 /// # Examples
@@ -189,9 +192,6 @@ pub struct Ctx {
     pub schedule: Schedule,
     /// MTTKRP scheduling strategy (default: cost-model auto-selection).
     pub mttkrp: StrategyChoice,
-    /// Measured scheduling parameters (from the [`tune`](crate::tune)
-    /// tables); `None` means the built-in model constants apply.
-    pub tuning: Option<crate::tune::TunedParams>,
     /// Fuse-vs-materialize choice for kernel chains (default: cost model).
     pub fusion: FusionChoice,
 }
@@ -203,7 +203,6 @@ impl Ctx {
             threads: threads.max(1),
             schedule,
             mttkrp: StrategyChoice::Auto,
-            tuning: None,
             fusion: FusionChoice::Auto,
         }
     }
@@ -214,7 +213,6 @@ impl Ctx {
             threads: 1,
             schedule: Schedule::Static,
             mttkrp: StrategyChoice::Auto,
-            tuning: None,
             fusion: FusionChoice::Auto,
         }
     }
@@ -226,7 +224,6 @@ impl Ctx {
             threads: pasta_par::default_threads(),
             schedule: Schedule::default_dynamic(),
             mttkrp: StrategyChoice::Auto,
-            tuning: None,
             fusion: FusionChoice::Auto,
         }
     }
@@ -244,27 +241,10 @@ impl Ctx {
         self
     }
 
-    /// The same context carrying measured tuning parameters. If the
-    /// context's schedule is dynamic, its chunk size follows the tuned one;
-    /// static/guided schedules are left alone (they have no chunk knob).
-    pub fn with_tuning(mut self, params: crate::tune::TunedParams) -> Self {
-        if matches!(self.schedule, Schedule::Dynamic(_)) {
-            self.schedule = Schedule::Dynamic(params.chunk.max(1));
-        }
-        self.tuning = Some(params);
-        self
-    }
-
-    /// The dense-privatization threshold the MTTKRP strategy choice should
-    /// use: the tuned one if present, else the model default.
-    pub fn dense_threshold(&self) -> usize {
-        self.tuning.map(|t| t.dense_threshold).unwrap_or(crate::analysis::DEFAULT_DENSE_THRESHOLD)
-    }
-
-    /// The HiCOO block size plans built under this context should use: the
-    /// tuned one if present, else the suite default `B = 128`.
+    /// The HiCOO block size plans built under this context should use:
+    /// the suite default [`DEFAULT_BLOCK_SIZE`].
     pub fn block_size(&self) -> u32 {
-        self.tuning.map(|t| t.block_size).unwrap_or(crate::tune::DEFAULT_BLOCK_SIZE)
+        DEFAULT_BLOCK_SIZE
     }
 
     /// Whether this context runs on one thread.

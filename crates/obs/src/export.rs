@@ -65,14 +65,6 @@ pub fn chrome_trace_json() -> String {
     out
 }
 
-/// Writes [`chrome_trace_json`] to `path`, creating parent directories.
-pub fn write_chrome_trace(path: &std::path::Path) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, chrome_trace_json())
-}
-
 fn push_event(out: &mut String, tid: u32, ev: &Event) {
     let ph = match ev.phase {
         Phase::Begin => "B",

@@ -1,6 +1,6 @@
-//! A deliberately small JSON reader shared by the trace validator, the
-//! perf-regression gate, and the kernel tuner's table loader: objects,
-//! arrays, strings without escapes, numbers, bools, null.
+//! A deliberately small JSON reader shared by the trace validator and the
+//! repo benchmark's manifest check: objects, arrays, strings without
+//! escapes, numbers, bools, null.
 //!
 //! Errors are plain `String`s so the crate stays dependency-free; callers
 //! wrap them in their own error types.

@@ -3,7 +3,7 @@
 //! Every crate in the workspace used to grow its own telemetry island
 //! (per-kernel counter globals, the simulator's access traces).
 //! This crate replaces them with one std-only layer at the bottom of the
-//! dependency graph, usable from the thread pool up to the bench harness:
+//! dependency graph, usable from the thread pool up to the repo benchmark:
 //!
 //! - **[`counters()`]** — a process-wide [`CounterRegistry`] of named
 //!   monotonic counters ([`CounterId`]), incremented with one relaxed
@@ -15,10 +15,10 @@
 //!   relaxed atomic load and records nothing — zero numeric impact on the
 //!   kernels it instruments;
 //! - **[`export`]** — a chrome://tracing "trace event" JSON exporter
-//!   ([`write_chrome_trace`]) that repairs unbalanced begin/end pairs so
+//!   ([`chrome_trace_json`]) that repairs unbalanced begin/end pairs so
 //!   the output always nests;
-//! - **[`json`]** — the minimal JSON value parser shared by the tuner
-//!   table, the trace validator, and the perf-regression gate.
+//! - **[`json`]** — the minimal JSON value parser behind the trace
+//!   validator and the repo benchmark's manifest check.
 //!
 //! # Examples
 //!
@@ -46,7 +46,7 @@ pub mod json;
 pub mod ring;
 
 pub use counters::{counters, CounterId, CounterRegistry, CounterSnapshot};
-pub use export::{chrome_trace_json, validate_chrome_trace, write_chrome_trace};
+pub use export::{chrome_trace_json, validate_chrome_trace};
 pub use ring::{
     instant, reset_events, snapshot_events, span, span_detail, Event, Phase, SpanGuard,
 };
@@ -109,8 +109,9 @@ pub fn counting() -> bool {
     flags() & COUNT_BIT != 0
 }
 
-/// Turns span/event tracing on or off programmatically (`hostrun --trace`
-/// and the test suites use this instead of the `PASTA_TRACE` variable).
+/// Turns span/event tracing on or off programmatically (the repo
+/// benchmark's traced run and the test suites use this instead of the
+/// `PASTA_TRACE` variable).
 pub fn set_tracing(on: bool) {
     set_bit(TRACE_BIT, on);
 }

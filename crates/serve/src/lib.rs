@@ -17,8 +17,8 @@
 //! - [`direct_eval`], the cache-free sequential reference every response
 //!   is differentially tested against ([`OpSpec::budget`] ULPs; 0 for
 //!   everything but the TTV/TTM reduction routes);
-//! - [`LatencyStats`], the nearest-rank percentile estimator behind the
-//!   `servebench` closed-loop load generator.
+//! - [`LatencyStats`], a nearest-rank percentile estimator for
+//!   closed-loop load runs.
 //!
 //! The request lifecycle is observable end to end: `serve.requests`,
 //! `serve.batches`, `serve.shard_tasks` and `cache.hits` /

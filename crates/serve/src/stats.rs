@@ -3,8 +3,8 @@
 //!
 //! Nearest-rank (rank `⌈p/100 · N⌉` over the sorted samples) is exact —
 //! it always returns an observed sample, never an interpolation — which
-//! keeps the servebench JSON rows reproducible across runs of the same
-//! seeded stream on the same host, and makes the estimator trivially
+//! keeps latency reports reproducible across runs of the same seeded
+//! stream on the same host, and makes the estimator trivially
 //! testable against known distributions.
 
 /// Accumulates per-request latencies (nanoseconds) for one load pass.
