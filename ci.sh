@@ -25,11 +25,13 @@ echo "==> Expression-graph proptests under PASTA_TRACE=1 (tracing must not pertu
 PASTA_TRACE=1 cargo test -q -p pasta --test expr_props
 
 echo "==> Conformance matrix (quick tier + selftest)"
-cargo run --release -q -p pasta-conformance -- quick
+quick_table="$(mktemp)"
+trap 'rm -f "$quick_table"' EXIT
+cargo run --release -q -p pasta-conformance -- quick | tee "$quick_table"
 cargo run --release -q -p pasta-conformance -- selftest
 
-echo "==> Conformance quick under PASTA_TRACE=1 (tracing must not perturb numerics)"
-PASTA_TRACE=1 cargo run --release -q -p pasta-conformance -- quick
+echo "==> Conformance quick under PASTA_TRACE=1 (tracing must not perturb numerics: same table, byte for byte)"
+PASTA_TRACE=1 cargo run --release -q -p pasta-conformance -- quick | diff "$quick_table" -
 
 echo "==> Repo benchmark smoke (scale 0.02, every output and served response verified)"
 bash benchmark/run.sh --smoke > /dev/null

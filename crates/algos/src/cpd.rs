@@ -4,10 +4,20 @@
 //! kernel" in the paper (Section II-E): each ALS sweep updates every factor
 //! matrix with one MTTKRP, a Hadamard product of Gram matrices and a small
 //! SPD solve.
+//!
+//! Every run drives one [`AlsSweep`]: a `mttkrp(leaf)` expression graph
+//! lowered once per run through [`lower`], plus a Gram cache. The
+//! [`Ctx::fusion`] choice only changes what the lowering emits — a cached
+//! MTTKRP head (per-mode plans, the one-time HiCOO conversion) or the
+//! kernel-at-a-time suffix that calls the MTTKRP kernel directly — never
+//! the ALS loop.
 
 use pasta_core::linalg::{gram, hadamard, normalize_columns, Cholesky};
 use pasta_core::{seeded_matrix, CooTensor, DenseMatrix, Error, Result, Value};
-use pasta_kernels::{mttkrp_coo, mttkrp_hicoo, Ctx, FormatKind, FusedAlsSweep, FusionChoice};
+use pasta_kernels::obs::span_detail;
+use pasta_kernels::{
+    counters, lower, Bindings, CounterId, Ctx, ExprGraph, ExprOut, ExprPlan, FormatKind,
+};
 
 /// Which kernel backend CP-ALS drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +59,11 @@ impl Default for CpdOptions {
 }
 
 impl CpdOptions {
-    /// The MTTKRP format this run drives, per the backend.
-    fn format(&self) -> FormatKind {
+    /// The MTTKRP format and HiCOO block size this run drives.
+    fn route(&self) -> (FormatKind, u32) {
         match self.backend {
-            CpdBackend::Coo => FormatKind::Coo,
-            CpdBackend::Hicoo(_) => FormatKind::Hicoo,
+            CpdBackend::Coo => (FormatKind::Coo, 0),
+            CpdBackend::Hicoo(b) => (FormatKind::Hicoo, b),
         }
     }
 }
@@ -139,50 +149,132 @@ pub fn cp_als<V: Value>(x: &CooTensor<V>, opts: &CpdOptions) -> Result<CpdModel<
 
     // Fusing the ALS sweep never enlarges the working set (the per-mode
     // outputs are the factor matrices themselves), so `Auto` fuses;
-    // `Materialize` forces the kernel-at-a-time baseline for ablation.
-    // The fused sweep is an expression program: `FusedAlsSweep` lowers a
-    // `mttkrp(leaf)` graph once per run and rebinds factors each mode.
-    if opts.ctx.fusion != FusionChoice::Materialize {
-        let block = match opts.backend {
-            CpdBackend::Coo => 0,
-            CpdBackend::Hicoo(b) => b,
-        };
-        let mut plan = FusedAlsSweep::new(x, opts.format(), block, &factors, &opts.ctx)?;
-        for sweep in 0..opts.max_iters {
-            iters = sweep + 1;
-            plan.sweep(&mut factors, &mut lambda)?;
-            let new_fit = compute_fit(x, &factors, &lambda, norm_x, &plan.gram_hadamard());
-            if sweep > 0 && (new_fit - fit).abs() < opts.tol {
-                fit = new_fit;
-                break;
-            }
-            fit = new_fit;
-        }
-        return Ok(CpdModel { factors, lambda, fit, iters });
-    }
-
-    let hicoo = match opts.backend {
-        CpdBackend::Coo => None,
-        CpdBackend::Hicoo(b) => Some(pasta_core::HiCooTensor::from_coo(x, b)?),
-    };
-
+    // `Materialize` lowers the MTTKRP edge to the kernel-at-a-time suffix.
+    let (format, block) = opts.route();
+    let mut plan = AlsSweep::new(x, format, block, &factors, &opts.ctx)?;
     for sweep in 0..opts.max_iters {
         iters = sweep + 1;
+        plan.sweep(&mut factors, &mut lambda)?;
+        let new_fit = compute_fit(x, &factors, &lambda, norm_x, &plan.gram_hadamard());
+        if sweep > 0 && (new_fit - fit).abs() < opts.tol {
+            fit = new_fit;
+            break;
+        }
+        fit = new_fit;
+    }
+    Ok(CpdModel { factors, lambda, fit, iters })
+}
+
+/// One CP-ALS sweep: MTTKRP → Hadamard-of-Grams → Cholesky solve →
+/// normalize for every mode, with the sweep-invariant products cached
+/// across iterations.
+///
+/// The per-run MTTKRP state is a lowered expression plan — a one-edge
+/// graph `mttkrp(leaf)` run through [`lower`] under the context's fusion
+/// choice. Fused, its head caches the per-mode
+/// [`MttkrpCooPlan`](pasta_kernels::MttkrpCooPlan)s (built only where the
+/// schedule analysis says a mode-outermost re-sort pays off) or the
+/// one-time HiCOO conversion; materialized, the edge runs kernel-at-a-time
+/// each call. Arithmetic is bit-identical either way — the fused wins come
+/// from *not redoing work*:
+///
+/// - per-mode MTTKRP plans and conversions are built once per run instead
+///   of once per sweep;
+/// - factor Gram matrices are cached and updated incrementally — one
+///   `gram()` per factor update instead of `N−1` per mode plus `N` more
+///   for the fit, collapsing `O(N²)` Gram computations per sweep to
+///   `O(N)`.
+#[derive(Debug)]
+pub struct AlsSweep<'a, V> {
+    x: &'a CooTensor<V>,
+    format: FormatKind,
+    plan: ExprPlan<'a, V>,
+    grams: Vec<DenseMatrix<V>>,
+    rank: usize,
+}
+
+impl<'a, V: Value> AlsSweep<'a, V> {
+    /// Builds the per-run plan: validates the factor set, lowers the
+    /// MTTKRP expression graph (which validates the route against the
+    /// registry and converts/sorts as the schedule analysis dictates when
+    /// the edge fuses), and seeds the Gram cache from the initial factors.
+    ///
+    /// # Errors
+    ///
+    /// Rejects factor shape mismatches and, when the edge fuses,
+    /// unregistered routes and non-COO/HiCOO formats (a materialized
+    /// sweep rejects those on its first MTTKRP).
+    pub fn new(
+        x: &'a CooTensor<V>,
+        format: FormatKind,
+        block: u32,
+        factors: &[DenseMatrix<V>],
+        ctx: &Ctx,
+    ) -> Result<Self> {
+        let order = x.order();
+        if factors.len() != order {
+            return Err(Error::OperandMismatch {
+                what: format!("expected {order} factor matrices, got {}", factors.len()),
+            });
+        }
+        let rank = factors[0].cols();
+        for (m, f) in factors.iter().enumerate() {
+            if f.cols() != rank || f.rows() != x.shape().dim(m) as usize {
+                return Err(Error::OperandMismatch {
+                    what: format!(
+                        "factor {m} is {}×{} but mode {m} needs {}×{rank}",
+                        f.rows(),
+                        f.cols(),
+                        x.shape().dim(m)
+                    ),
+                });
+            }
+        }
+        let mut g = ExprGraph::new();
+        let leaf = g.leaf(x);
+        let root = g.mttkrp(leaf, rank, format, block)?;
+        let plan = lower(&g, root, ctx)?;
+        let grams = factors.iter().map(gram).collect();
+        Ok(Self { x, format, plan, grams, rank })
+    }
+
+    /// Runs one ALS sweep in place: for each mode, MTTKRP through the
+    /// lowered plan, solve against the cached Grams, normalize, and update
+    /// the mode's Gram.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel errors; fails when the Gram Hadamard product is
+    /// not positive definite.
+    pub fn sweep(&mut self, factors: &mut [DenseMatrix<V>], lambda: &mut [V]) -> Result<()> {
+        let order = self.x.order();
+        let c = counters();
+        c.add(CounterId::FusedChains, 1);
+        let _span = span_detail(
+            "kernel",
+            "fused.als_sweep",
+            self.format.label(),
+            self.x.nnz() as u64,
+            self.rank as u64,
+            0,
+        );
         for n in 0..order {
-            let m_out = match &hicoo {
-                Some(h) => mttkrp_hicoo(h, &factors, n, &opts.ctx)?,
-                None => mttkrp_coo(x, &factors, n, &opts.ctx)?,
+            let m_out = match self.plan.execute(&Bindings::mttkrp(factors, n))? {
+                ExprOut::Matrix(m) => m,
+                _ => unreachable!("mttkrp graphs produce matrices"),
             };
-            // V = hadamard of grams of all factors but n.
+            // V = hadamard of the cached grams of all factors but n, folded
+            // in increasing mode order (bit-identical to recomputing each
+            // gram in a kernel-at-a-time loop).
             let mut v: Option<DenseMatrix<V>> = None;
-            for (m, f) in factors.iter().enumerate() {
+            for m in 0..order {
                 if m == n {
                     continue;
                 }
-                let g = gram(f);
+                c.add(CounterId::FusedPlanCacheHits, 1);
                 v = Some(match v {
-                    Some(acc) => hadamard(&acc, &g),
-                    None => g,
+                    Some(acc) => hadamard(&acc, &self.grams[m]),
+                    None => self.grams[m].clone(),
                 });
             }
             let v = v.expect("order >= 2");
@@ -192,36 +284,35 @@ pub fn cp_als<V: Value>(x: &CooTensor<V>, opts: &CpdOptions) -> Result<CpdModel<
             })?;
             let mut a = m_out;
             ch.solve_rows(&mut a);
-            let norms = normalize_columns(&mut a);
-            for (l, nn) in lambda.iter_mut().zip(&norms) {
-                *l = if *nn == V::ZERO { V::ZERO } else { *nn };
+            for (l, &nn) in lambda.iter_mut().zip(&normalize_columns(&mut a)) {
+                *l = nn;
             }
+            self.grams[n] = gram(&a);
             factors[n] = a;
         }
-
-        let mut had: Option<DenseMatrix<V>> = None;
-        for f in &factors {
-            let g = gram(f);
-            had = Some(match had {
-                Some(acc) => hadamard(&acc, &g),
-                None => g,
-            });
-        }
-        let new_fit = compute_fit(x, &factors, &lambda, norm_x, &had.expect("at least one factor"));
-        if sweep > 0 && (new_fit - fit).abs() < opts.tol {
-            fit = new_fit;
-            break;
-        }
-        fit = new_fit;
+        Ok(())
     }
 
-    Ok(CpdModel { factors, lambda, fit, iters })
+    /// The Hadamard product of *all* cached Grams (`∘_m A_mᵀA_m`), folded
+    /// in mode order — the model-norm term of the fit computation, reusing
+    /// the sweep's cache instead of recomputing every Gram.
+    pub fn gram_hadamard(&self) -> DenseMatrix<V> {
+        let c = counters();
+        let mut had: Option<DenseMatrix<V>> = None;
+        for g in &self.grams {
+            c.add(CounterId::FusedPlanCacheHits, 1);
+            had = Some(match had {
+                Some(acc) => hadamard(&acc, g),
+                None => g.clone(),
+            });
+        }
+        had.expect("at least one factor")
+    }
 }
 
 /// `1 − ‖X − X̂‖ / ‖X‖` computed without materializing `X̂`:
 /// `‖X − X̂‖² = ‖X‖² − 2⟨X, X̂⟩ + ‖X̂‖²`. The caller supplies
-/// `had = ∘_m A_mᵀA_m` (the fused sweep folds its Gram cache; the
-/// kernel-at-a-time baseline recomputes every Gram).
+/// `had = ∘_m A_mᵀA_m`, folded from the sweep's Gram cache.
 fn compute_fit<V: Value>(
     x: &CooTensor<V>,
     factors: &[DenseMatrix<V>],
@@ -259,7 +350,8 @@ fn compute_fit<V: Value>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pasta_core::Shape;
+    use pasta_core::{HiCooTensor, Shape};
+    use pasta_kernels::{mttkrp_coo, mttkrp_hicoo, FusionChoice};
 
     /// Builds an exactly rank-`r` tensor from random factors.
     fn rank_r_tensor(dims: &[u32], r: usize, seed: u64) -> CooTensor<f64> {
@@ -387,6 +479,119 @@ mod tests {
         for (a, b) in fused.factors.iter().zip(&mat.factors) {
             assert_eq!(a.as_slice(), b.as_slice());
         }
+    }
+
+    /// The independent reference: a kernel-at-a-time CP-ALS run that
+    /// calls the MTTKRP kernels directly and recomputes every Gram, with
+    /// its own fit arithmetic — nothing shared with [`AlsSweep`].
+    fn reference_cp_als(x: &CooTensor<f64>, opts: &CpdOptions) -> CpdModel<f64> {
+        let (order, r, ctx) = (x.order(), opts.rank, &opts.ctx);
+        let mut factors: Vec<DenseMatrix<f64>> = (0..order)
+            .map(|m| {
+                let mut f = seeded_matrix(x.shape().dim(m) as usize, r, opts.seed + m as u64);
+                normalize_columns(&mut f);
+                f
+            })
+            .collect();
+        let mut lambda = vec![1.0f64; r];
+        let hicoo = match opts.backend {
+            CpdBackend::Coo => None,
+            CpdBackend::Hicoo(b) => Some(HiCooTensor::from_coo(x, b).unwrap()),
+        };
+        let norm_x = x.vals().iter().map(|&v| v * v).sum::<f64>().sqrt();
+        let grams_hadamard = |fs: &[DenseMatrix<f64>], skip: usize| {
+            let mut had: Option<DenseMatrix<f64>> = None;
+            for (m, f) in fs.iter().enumerate() {
+                if m != skip {
+                    let g = gram(f);
+                    had = Some(match had {
+                        Some(acc) => hadamard(&acc, &g),
+                        None => g,
+                    });
+                }
+            }
+            had.unwrap()
+        };
+        let (mut fit, mut iters) = (0.0f64, 0);
+        for sweep in 0..opts.max_iters {
+            iters = sweep + 1;
+            for n in 0..order {
+                let mut a = match &hicoo {
+                    Some(h) => mttkrp_hicoo(h, &factors, n, ctx).unwrap(),
+                    None => mttkrp_coo(x, &factors, n, ctx).unwrap(),
+                };
+                let ch = Cholesky::factor(&grams_hadamard(&factors, n), 1e-10).unwrap();
+                ch.solve_rows(&mut a);
+                lambda = normalize_columns(&mut a);
+                factors[n] = a;
+            }
+            let mut inner = 0.0f64;
+            for e in 0..x.nnz() {
+                let mut s = 0.0f64;
+                for rr in 0..r {
+                    let mut prod = lambda[rr];
+                    for m in 0..order {
+                        prod *= factors[m].get(x.mode_inds(m)[e] as usize, rr);
+                    }
+                    s += prod;
+                }
+                inner += x.vals()[e] * s;
+            }
+            let had = grams_hadamard(&factors, order);
+            let mut norm_model_sq = 0.0f64;
+            for p in 0..r {
+                for q in 0..r {
+                    norm_model_sq += lambda[p] * had.get(p, q) * lambda[q];
+                }
+            }
+            let resid_sq = (norm_x * norm_x - 2.0 * inner + norm_model_sq).max(0.0);
+            let new_fit = 1.0 - resid_sq.sqrt() / norm_x.max(1e-300);
+            let done = sweep > 0 && (new_fit - fit).abs() < opts.tol;
+            fit = new_fit;
+            if done {
+                break;
+            }
+        }
+        CpdModel { factors, lambda, fit, iters }
+    }
+
+    #[test]
+    fn als_sweep_matches_kernel_at_a_time_loop() {
+        let x = rank_r_tensor(&[7, 6, 5], 3, 23);
+        for backend in [CpdBackend::Coo, CpdBackend::Hicoo(4)] {
+            for fusion in [FusionChoice::Auto, FusionChoice::Materialize] {
+                for threads in [1usize, 2] {
+                    let opts = CpdOptions {
+                        rank: 3,
+                        max_iters: 8,
+                        tol: 1e-6,
+                        ctx: Ctx::new(threads, pasta_par::Schedule::Static).with_fusion(fusion),
+                        backend,
+                        ..Default::default()
+                    };
+                    let what = format!("{backend:?} {fusion:?} t{threads}");
+                    let got = cp_als(&x, &opts).unwrap();
+                    let want = reference_cp_als(&x, &opts);
+                    assert_eq!(got.iters, want.iters, "{what}: iters");
+                    assert_eq!(got.fit.to_bits(), want.fit.to_bits(), "{what}: fit");
+                    assert_eq!(got.lambda, want.lambda, "{what}: lambda");
+                    for (a, b) in got.factors.iter().zip(&want.factors) {
+                        assert_eq!(a.as_slice(), b.as_slice(), "{what}: factors");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn als_sweep_rejects_bad_routes() {
+        let x = rank_r_tensor(&[4, 4], 1, 1);
+        let ctx = Ctx::sequential();
+        let f: Vec<DenseMatrix<f64>> = (0..2).map(|m| seeded_matrix(4, 2, m)).collect();
+        assert!(AlsSweep::new(&x, FormatKind::Scoo, 0, &f, &ctx).is_err());
+        assert!(AlsSweep::new(&x, FormatKind::Coo, 0, &f[..1], &ctx).is_err());
+        let ragged = vec![f[0].clone(), seeded_matrix(4, 3, 9)];
+        assert!(AlsSweep::new(&x, FormatKind::Coo, 0, &ragged, &ctx).is_err());
     }
 
     #[test]

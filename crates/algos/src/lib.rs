@@ -7,9 +7,9 @@
 //! decomposition"):
 //!
 //! - [`cp_als`] — CANDECOMP/PARAFAC via alternating least squares, the
-//!   MTTKRP workhorse (COO or HiCOO backend);
+//!   MTTKRP workhorse (COO or HiCOO backend), one [`AlsSweep`] per run;
 //! - [`tucker_hooi`] — Tucker decomposition by higher-order orthogonal
-//!   iteration, driving sparse [`ttm_chain`]s;
+//!   iteration, driving sparse TTM-chains;
 //! - [`tensor_power_method`] — the TTV-based tensor power iteration for
 //!   dominant rank-1 structure;
 //! - [`eig`] — the small symmetric Jacobi eigensolver HOOI needs.
@@ -42,7 +42,7 @@ pub mod eig;
 pub mod power;
 pub mod tucker;
 
-pub use cpd::{cp_als, CpdBackend, CpdModel, CpdOptions};
+pub use cpd::{cp_als, AlsSweep, CpdBackend, CpdModel, CpdOptions};
 pub use eig::{leading_vectors, sym_eig, SymEig};
 pub use power::{tensor_power_method, PowerOptions, PowerResult};
-pub use tucker::{ttm_chain, tucker_hooi, TuckerModel, TuckerOptions};
+pub use tucker::{tucker_hooi, TuckerModel, TuckerOptions};

@@ -6,25 +6,22 @@
 //! the Gram matrix of `Y₍ₙ₎`, where `Y = X ×₁ U⁽¹⁾ ⋯ ×ₙ₋₁ U⁽ⁿ⁻¹⁾ ×ₙ₊₁ …` is
 //! a chain of sparse TTM products.
 //!
-//! The chain runs on one of two routes, dispatched by the
-//! fuse-vs-materialize cost model (overridable via
-//! [`Ctx::fusion`](pasta_kernels::Ctx)):
-//!
-//! - **fused** (the default where the model allows): one lowered
-//!   expression plan per skip mode — a `ttm_all_but` graph with factor
-//!   slots run through [`pasta_kernels::lower`] — built once and reused
-//!   across every sweep (factors rebound per execution), executing the
-//!   whole chain in a single pass through per-thread workspaces — no
-//!   intermediate sparse tensors, no `to_coo()` round-trips;
-//! - **materialized** ([`ttm_chain`]): the kernel-at-a-time baseline that
-//!   builds one semi-sparse intermediate per step, kept for ablation and
-//!   regression-tested against the fused route.
+//! Every chain is one `ttm_all_but` expression graph with factor slots,
+//! lowered through [`pasta_kernels::lower`] once per skip mode and reused
+//! across every sweep (factors rebound per execution). The run's
+//! fuse-vs-materialize choice — the [`choose_fusion`] cost model,
+//! overridable via [`Ctx::fusion`](pasta_kernels::Ctx) — only changes what
+//! the lowering emits: one fused pass through per-thread workspaces (no
+//! intermediate sparse tensors), or the kernel-at-a-time suffix that
+//! builds one semi-sparse intermediate per step. Either way the chain
+//! yields `Y` with mode `n` as its only sparse mode, and the loop is the
+//! same.
 
 use crate::eig::{leading_vectors, sym_eig};
 use pasta_core::{CooTensor, DenseMatrix, Error, Result, SemiCooTensor, Shape, Value};
 use pasta_kernels::{
-    choose_fusion, counters, lower, ttm_coo, ttm_scoo, Bindings, CounterId, Ctx, ExprGraph,
-    ExprOut, ExprPlan, FuseDecision, FusionChoice, FusionParams, MatOperand,
+    choose_fusion, counters, lower, Bindings, CounterId, Ctx, ExprGraph, ExprOut, ExprPlan,
+    FuseDecision, FusionChoice, FusionParams, MatOperand,
 };
 
 /// Tucker/HOOI options.
@@ -60,63 +57,11 @@ pub struct TuckerModel<V> {
     pub energy: f64,
 }
 
-/// Kernel-at-a-time TTM-chain: multiplies `x` by `Uᵀ` in every mode except
-/// `skip` (pass `skip = order` to contract every mode), materializing one
-/// semi-sparse intermediate per step. Returns a COO tensor.
-///
-/// Our TTM convention is `Y = X ×_n U` with `U ∈ R^{I_n × R}` summing over
-/// `i_n`, i.e. exactly the `X ×_n Uᵀ` of the Kolda-Bader convention — so a
-/// chain over all modes shrinks `X` to the `R₁ × ⋯ × R_N` core.
-///
-/// This is the ablation baseline the fused expression-graph route is
-/// measured against; every intermediate it builds bumps the
-/// `fused.materialized_intermediates` counter.
-///
-/// # Errors
-///
-/// Propagates kernel errors (mode/shape mismatches).
-pub fn ttm_chain<V: Value>(
-    x: &CooTensor<V>,
-    factors: &[DenseMatrix<V>],
-    skip: usize,
-    ctx: &Ctx,
-) -> Result<CooTensor<V>> {
-    let c = counters();
-    // First product leaves COO; later products stay semi-sparse (ttm_scoo),
-    // avoiding repeated expansion — the point of the sCOO format.
-    let mut semi: Option<SemiCooTensor<V>> = None;
-    for (n, u) in factors.iter().enumerate() {
-        if n == skip {
-            continue;
-        }
-        c.add(CounterId::FusedMaterialized, 1);
-        semi = Some(match semi {
-            None => ttm_coo(x, u, n, ctx)?,
-            // sCOO requires at least one sparse mode; when the chain is
-            // about to densify the last one, fall back through COO.
-            Some(prev) if prev.dense_modes().len() + 1 >= prev.shape().order() => {
-                c.add(CounterId::FusedMaterialized, 1);
-                ttm_coo(&prev.to_coo(), u, n, ctx)?
-            }
-            Some(prev) => ttm_scoo(&prev, u, n, ctx)?,
-        });
-    }
-    Ok(match semi {
-        Some(s) => {
-            c.add(CounterId::FusedMaterialized, 1);
-            s.to_coo()
-        }
-        None => x.clone(),
-    })
-}
-
-/// Whether this run's chains execute fused, per the context override or
-/// the [`choose_fusion`] cost model (sized for the widest chain of the
-/// run).
-fn fusion_decision<V: Value>(x: &CooTensor<V>, ranks: &[usize], ctx: &Ctx) -> bool {
+/// Whether this run's chains fuse (`Fuse`) or materialize (`Materialize`),
+/// per the context override or the [`choose_fusion`] cost model (sized for
+/// the widest chain of the run).
+fn fusion_decision<V: Value>(x: &CooTensor<V>, ranks: &[usize], ctx: &Ctx) -> FusionChoice {
     match ctx.fusion {
-        FusionChoice::Fuse => true,
-        FusionChoice::Materialize => false,
         FusionChoice::Auto => {
             let order = x.order();
             let rank_prod: usize = ranks.iter().product();
@@ -131,8 +76,12 @@ fn fusion_decision<V: Value>(x: &CooTensor<V>, ranks: &[usize], ctx: &Ctx) -> bo
                 steps: order.saturating_sub(1),
                 threads: ctx.threads,
             };
-            choose_fusion(&p) == FuseDecision::Fuse
+            match choose_fusion(&p) {
+                FuseDecision::Fuse => FusionChoice::Fuse,
+                FuseDecision::Materialize => FusionChoice::Materialize,
+            }
         }
+        forced => forced,
     }
 }
 
@@ -182,44 +131,35 @@ pub fn tucker_hooi<V: Value>(x: &CooTensor<V>, opts: &TuckerOptions) -> Result<T
         })
         .collect();
 
-    let fused = fusion_decision(x, &opts.ranks, &opts.ctx);
+    let mut ctx = opts.ctx;
+    ctx.fusion = fusion_decision(x, &opts.ranks, &opts.ctx);
     // Per-run plan cache: one lowered expression plan per skip mode (index
     // `order` is the full contraction for the core), each holding its
-    // skip-outermost sorted copy — the sort is paid once per run, not
-    // once per sweep. Factors are bound per execution through slots, so
-    // the plans survive the factor updates between sweeps.
+    // skip-outermost sorted copy when fused — the sort is paid once per
+    // run, not once per sweep. Factors are bound per execution through
+    // slots, so the plans survive the factor updates between sweeps.
     let mut chain_plans: Vec<Option<ExprPlan<V>>> = (0..=order).map(|_| None).collect();
 
     for _ in 0..opts.max_iters.max(1) {
         for n in 0..order {
             // Y = X x_{m != n} U_m ; U_n <- leading eigvecs of Y_(n) Y_(n)^T.
-            let in_dim = x.shape().dim(n) as usize;
-            let w = if fused {
-                let plan = cached_plan(&mut chain_plans, x, &opts.ranks, n, &opts.ctx)?;
-                let y = match plan.execute(&Bindings::with_mats(factors.iter().collect()))? {
-                    ExprOut::Semi(y) => y,
-                    _ => unreachable!("partial TTM chains produce semi-sparse tensors"),
-                };
-                gram_of_scoo(&y, in_dim)
-            } else {
-                let y = ttm_chain(x, &factors, n, &opts.ctx)?;
-                gram_of_matricization(&y, n, in_dim)
+            let plan = cached_plan(&mut chain_plans, x, &opts.ranks, n, &ctx)?;
+            let y = match plan.execute(&Bindings::with_mats(factors.iter().collect()))? {
+                ExprOut::Semi(y) => y,
+                _ => unreachable!("partial TTM chains produce semi-sparse tensors"),
             };
-            let eig = sym_eig(&w, 30);
+            let eig = sym_eig(&gram_of_scoo(&y, x.shape().dim(n) as usize), 30);
             factors[n] = leading_vectors(&eig, opts.ranks[n]);
         }
     }
 
     // Core = X x_1 U_1 ... x_N U_N, densified.
     let core_shape = Shape::new(opts.ranks.iter().map(|&r| r as u32).collect());
-    let core = if fused {
-        let plan = cached_plan(&mut chain_plans, x, &opts.ranks, order, &opts.ctx)?;
-        match plan.execute(&Bindings::with_mats(factors.iter().collect()))? {
-            ExprOut::Dense { vals, .. } => vals,
-            _ => unreachable!("full contraction produces a dense block"),
-        }
-    } else {
-        ttm_chain(x, &factors, order, &opts.ctx)?.to_dense(1 << 22)
+    let plan = cached_plan(&mut chain_plans, x, &opts.ranks, order, &ctx)?;
+    let core = match plan.execute(&Bindings::with_mats(factors.iter().collect()))? {
+        ExprOut::Dense { vals, .. } => vals,
+        ExprOut::Semi(s) => s.to_coo().to_dense(1 << 22),
+        _ => unreachable!("full TTM chains produce a dense block or a semi-sparse tensor"),
     };
 
     let norm_x = x.vals().iter().map(|&v| (v * v).to_f64()).sum::<f64>().sqrt();
@@ -235,16 +175,14 @@ pub fn tucker_hooi<V: Value>(x: &CooTensor<V>, opts: &TuckerOptions) -> Result<T
 /// Lowers the `ttm_all_but(skip)` expression graph for one chain of the
 /// run: every factor is a [`MatOperand::Slot`] keyed by its mode, so one
 /// plan serves every sweep with the current factors bound at execute
-/// time. Fusion is forced — the fuse-vs-materialize decision was already
-/// made for the whole run by [`fusion_decision`].
+/// time. `ctx.fusion` carries the run's decision from [`fusion_decision`]
+/// (`Fuse` or `Materialize`), so every chain of the run lowers alike.
 fn build_chain_plan<'x, V: Value>(
     x: &'x CooTensor<V>,
     ranks: &[usize],
     skip: usize,
     ctx: &Ctx,
 ) -> Result<ExprPlan<'x, V>> {
-    let mut fctx = *ctx;
-    fctx.fusion = FusionChoice::Fuse;
     let mut g = ExprGraph::new();
     let leaf = g.leaf(x);
     let mats: Vec<MatOperand<V>> = (0..x.order())
@@ -252,7 +190,7 @@ fn build_chain_plan<'x, V: Value>(
         .map(|m| MatOperand::Slot { slot: m, cols: ranks[m] })
         .collect();
     let root = g.ttm_all_but(leaf, skip, mats)?;
-    lower(&g, root, &fctx)
+    lower(&g, root, ctx)
 }
 
 /// Fetches the lowered chain plan for `skip` from the per-run cache,
@@ -272,9 +210,10 @@ fn cached_plan<'p, 'x, V: Value>(
     Ok(plans[skip].as_ref().expect("just built"))
 }
 
-/// `Y₍ₙ₎ Y₍ₙ₎ᵀ` straight from the fused chain's semi-sparse output: fiber
-/// `f` of `y` *is* row `i_f` of the matricization (its dense block spans
-/// every column), so the Gram is pairwise fiber dot products.
+/// `Y₍ₙ₎ Y₍ₙ₎ᵀ` straight from the chain's semi-sparse output, whose only
+/// sparse mode is `n`: fiber `f` of `y` *is* (part of) row `i_f` of the
+/// matricization (its dense block spans every column), so the Gram is
+/// pairwise fiber dot products — fibers sharing an `i_f` sum correctly.
 fn gram_of_scoo<V: Value>(y: &SemiCooTensor<V>, in_dim: usize) -> DenseMatrix<V> {
     let nf = y.num_fibers();
     let mut w = DenseMatrix::<V>::zeros(in_dim, in_dim);
@@ -296,9 +235,10 @@ fn gram_of_scoo<V: Value>(y: &SemiCooTensor<V>, in_dim: usize) -> DenseMatrix<V>
     w
 }
 
-/// `Y₍ₙ₎ Y₍ₙ₎ᵀ` (size `I_n × I_n`) computed directly from the sparse `Y`
-/// without materializing the matricization: group non-zeros by their
-/// non-`n` coordinates (columns of `Y₍ₙ₎`) and accumulate outer products.
+/// `Y₍ₙ₎ Y₍ₙ₎ᵀ` (size `I_n × I_n`) computed directly from a sparse `Y` (the
+/// HOSVD initialisation passes `X` itself) without materializing the
+/// matricization: group non-zeros by their non-`n` coordinates (columns of
+/// `Y₍ₙ₎`) and accumulate outer products.
 fn gram_of_matricization<V: Value>(y: &CooTensor<V>, n: usize, in_dim: usize) -> DenseMatrix<V> {
     let mut ys = y.clone();
     ys.sort_mode_last(n);
@@ -321,9 +261,8 @@ fn gram_of_matricization<V: Value>(y: &CooTensor<V>, n: usize, in_dim: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pasta_core::seeded_matrix;
 
-    /// Serializes the tests that run Tucker chains: the kernel-at-a-time
+    /// Serializes the tests that run Tucker chains: the materialized
     /// route bumps the process-wide `fused.materialized_intermediates`
     /// counter that `fused_route_materializes_no_intermediates` asserts
     /// does not move, and cargo runs this binary's tests in parallel.
@@ -392,21 +331,10 @@ mod tests {
     }
 
     #[test]
-    fn ttm_chain_full_contraction_shrinks_to_core_shape() {
-        let _serial = serial();
-        let x = diag_tensor(4);
-        let factors: Vec<DenseMatrix<f64>> =
-            (0..3).map(|m| seeded_matrix(4, 2, m as u64)).collect();
-        let core = ttm_chain(&x, &factors, 3, &Ctx::sequential()).unwrap();
-        assert_eq!(core.shape().dims(), &[2, 2, 2]);
-    }
-
-    #[test]
     fn fused_and_materialized_routes_agree() {
         let _serial = serial();
-        // The satellite regression: the fused chain must reproduce the
-        // kernel-at-a-time chain (and make its to_coo() round-trip
-        // unreachable) to tight budget on a non-trivial tensor.
+        // The fused chain must reproduce the kernel-at-a-time chain to a
+        // tight budget on a non-trivial tensor.
         let mut x = CooTensor::<f64>::new(Shape::new(vec![7, 6, 5]));
         let mut s = 0x2545_F491_4F6C_DD1Du64;
         for _ in 0..60 {

@@ -18,6 +18,7 @@
 
 use crate::cases::{self, Case};
 use crate::oracle::worst_ulp;
+use pasta_algos::AlsSweep;
 use pasta_core::linalg::{gram, hadamard, normalize_columns, Cholesky};
 use pasta_core::{
     seeded_matrix, seeded_vector, CooTensor, Coord, CsfTensor, DenseMatrix, DenseVector,
@@ -27,12 +28,12 @@ use pasta_kernels::dense_ref::{
     mttkrp_dense, tew_dense, ts_dense, ttm_dense, ttv_dense, ORACLE_MAX_ENTRIES,
 };
 use pasta_kernels::{
-    expr_registry, force_simd, fused_registry, lower, mttkrp_coo, mttkrp_csf_root, mttkrp_hicoo,
-    registry, tew_coo_same_pattern, tew_csf, tew_fcoo, tew_ghicoo, tew_hicoo, tew_scoo, tew_shicoo,
-    ts_coo, ts_csf, ts_fcoo, ts_ghicoo, ts_hicoo, ts_scoo, ts_shicoo, ttm_coo, ttm_hicoo, ttm_scoo,
+    expr_registry, force_simd, lower, mttkrp_coo, mttkrp_csf_root, mttkrp_hicoo, registry,
+    tew_coo_same_pattern, tew_csf, tew_fcoo, tew_ghicoo, tew_hicoo, tew_scoo, tew_shicoo, ts_coo,
+    ts_csf, ts_fcoo, ts_ghicoo, ts_hicoo, ts_scoo, ts_shicoo, ttm_coo, ttm_hicoo, ttm_scoo,
     ttv_coo, ttv_csf_leaf, ttv_fcoo, ttv_hicoo, BackendKind, Bindings, Combo, Ctx, EwOp, ExprGraph,
-    ExprOut, ExprRoute, FormatKind, FusedAlsSweep, FusedExprKind, FusedRoute, FusedTtmChainPlan,
-    FusedTtvPlan, Kernel, MatOperand, SimdLevel, StrategyChoice, TsOp, VecOperand,
+    ExprOut, ExprRoute, FormatKind, FusionChoice, Kernel, MatOperand, SimdLevel, StrategyChoice,
+    TsOp, VecOperand,
 };
 use pasta_par::Schedule;
 use pasta_serve::{
@@ -404,9 +405,6 @@ pub fn cells() -> Vec<Cell> {
     for combo in registry() {
         push_combo_cells(&mut cs, combo);
     }
-    for route in fused_registry() {
-        push_fused_cells(&mut cs, route);
-    }
     for route in expr_registry() {
         push_expr_cells(&mut cs, route);
     }
@@ -765,53 +763,51 @@ fn dense_ttm_step(dims: &mut [usize], data: &[f32], mode: usize, u: &DenseMatrix
     out
 }
 
-/// Emits the conformance cells for one fused route: the fused executor
-/// compared against a *composed* oracle that materializes every
-/// intermediate (dense steps for the chains, the kernel-at-a-time sweep
-/// for ALS).
-fn push_fused_cells(cs: &mut Vec<Cell>, route: FusedRoute) {
+/// Flattens any [`ExprOut`] into the dense comparison space the oracles
+/// live in (sparse variants through the dense image, dense variants as
+/// their row-major payload).
+fn expr_out_dense(out: ExprOut<f32>) -> Vec<f32> {
+    match out {
+        ExprOut::Coo(t) => t.to_dense(ORACLE_MAX_ENTRIES),
+        ExprOut::Semi(s) => s.to_coo().to_dense(ORACLE_MAX_ENTRIES),
+        ExprOut::Dense { vals, .. } => vals,
+        ExprOut::Matrix(m) => m.as_slice().to_vec(),
+    }
+}
+
+/// Emits the conformance cells for one expression-graph route: a graph is
+/// built, lowered through the planner, executed, and compared against the
+/// same expression composed kernel-at-a-time (or against the dense step
+/// oracles), so the cells pin the whole lower-then-execute pipeline
+/// rather than any single kernel.
+#[allow(clippy::too_many_lines)]
+fn push_expr_cells(cs: &mut Vec<Cell>, route: ExprRoute) {
     use BackendKind::Cpu;
-    match (route.expr, route.format, route.backend) {
-        (FusedExprKind::TtvChain, FormatKind::Coo, Cpu) => {
-            for t in POOLS {
-                cs.push(Cell::new(format!("{route}/t{t}"), FUSED_TTV_BUDGET, move |cc| {
-                    let order = cc.case.order();
-                    // Contract the trailing min(order−1, 2) modes in one
-                    // fused pass.
-                    let first = order.saturating_sub(2).max(1);
-                    let contract: Vec<usize> = (first..order).collect();
-                    let vecs: Vec<DenseVector<f32>> = contract
-                        .iter()
-                        .map(|&m| seeded_vector(cc.x.shape().dim(m) as usize, 31 + m as u64))
-                        .collect();
-                    let ctx = cpu_ctx(t);
-                    let plan = FusedTtvPlan::new(&cc.x, &contract, &ctx)?;
-                    let refs: Vec<&DenseVector<f32>> = vecs.iter().collect();
-                    let got = plan.execute(&refs, &ctx)?.to_dense(ORACLE_MAX_ENTRIES);
-                    let mut dims: Vec<usize> =
-                        cc.x.shape().dims().iter().map(|&d| d as usize).collect();
-                    let mut want = cc.x.to_dense(ORACLE_MAX_ENTRIES);
-                    // Highest mode first so remaining indices stay valid.
-                    for (j, &m) in contract.iter().enumerate().rev() {
-                        want = dense_ttv_step(&mut dims, &want, m, vecs[j].as_slice());
-                    }
-                    Ok((got, want))
-                }));
-            }
-        }
-        (FusedExprKind::TtmChain, FormatKind::Coo, Cpu) => {
+    match (route.label, route.format, route.backend) {
+        // The TTM chains of a Tucker sweep (every mode but the case mode,
+        // then the full contraction to the core), forced fused, vs the
+        // composed dense TTM step oracle.
+        ("ttmchain", FormatKind::Coo, Cpu) => {
             for t in POOLS {
                 cs.push(Cell::new(format!("{route}/t{t}"), FUSED_TTM_BUDGET, move |cc| {
                     let order = cc.case.order();
                     let skip = cc.case.mode;
-                    let ctx = cpu_ctx(t);
+                    let ctx = cpu_ctx(t).with_fusion(FusionChoice::Fuse);
+                    let chain = |skip: usize| -> Result<ExprOut<f32>> {
+                        let mut g = ExprGraph::new();
+                        let leaf = g.leaf(&cc.x);
+                        let mats = (0..order)
+                            .filter(|&m| m != skip)
+                            .map(|m| MatOperand::Owned(cc.factors[m].clone()))
+                            .collect();
+                        let root = g.ttm_all_but(leaf, skip, mats)?;
+                        lower(&g, root, &ctx)?.execute(&Bindings::none())
+                    };
                     let dense_x = cc.x.to_dense(ORACLE_MAX_ENTRIES);
                     let base_dims: Vec<usize> =
                         cc.x.shape().dims().iter().map(|&d| d as usize).collect();
                     // Skip-mode chain (the HOOI sweep body)…
-                    let plan = FusedTtmChainPlan::new(&cc.x, skip, &ctx)?;
-                    let mut got =
-                        plan.execute(&cc.factors, &ctx)?.to_coo().to_dense(ORACLE_MAX_ENTRIES);
+                    let mut got = expr_out_dense(chain(skip)?);
                     let mut dims = base_dims.clone();
                     let mut want = dense_x.clone();
                     for m in 0..order {
@@ -820,8 +816,7 @@ fn push_fused_cells(cs: &mut Vec<Cell>, route: FusedRoute) {
                         }
                     }
                     // …and the full contraction (the Tucker core).
-                    let full = FusedTtmChainPlan::new(&cc.x, order, &ctx)?;
-                    got.extend(full.execute_full(&cc.factors, &ctx)?);
+                    got.extend(expr_out_dense(chain(order)?));
                     let mut dims2 = base_dims;
                     let mut acc = dense_x;
                     for m in 0..order {
@@ -832,7 +827,9 @@ fn push_fused_cells(cs: &mut Vec<Cell>, route: FusedRoute) {
                 }));
             }
         }
-        (FusedExprKind::AlsSweep, fmt, Cpu) => {
+        // One CP-ALS sweep through the lowered MTTKRP graph and the Gram
+        // cache vs the composed kernel-at-a-time sweep.
+        ("alssweep", fmt, Cpu) => {
             for t in POOLS {
                 cs.push(Cell::new(format!("{route}/t{t}"), FUSED_ALS_BUDGET, move |cc| {
                     let ctx = cpu_ctx(t);
@@ -840,7 +837,7 @@ fn push_fused_cells(cs: &mut Vec<Cell>, route: FusedRoute) {
                     let fused = (|| -> Result<Vec<f32>> {
                         let mut ff = cc.factors.clone();
                         let mut lf = vec![1.0f32; r];
-                        let mut plan = FusedAlsSweep::new(&cc.x, fmt, cc.case.block, &ff, &ctx)?;
+                        let mut plan = AlsSweep::new(&cc.x, fmt, cc.case.block, &ff, &ctx)?;
                         plan.sweep(&mut ff, &mut lf)?;
                         let mut got: Vec<f32> =
                             ff.iter().flat_map(|f| f.as_slice().to_vec()).collect();
@@ -902,31 +899,6 @@ fn push_fused_cells(cs: &mut Vec<Cell>, route: FusedRoute) {
                 }));
             }
         }
-        _ => {}
-    }
-}
-
-/// Flattens any [`ExprOut`] into the dense comparison space the oracles
-/// live in (sparse variants through the dense image, dense variants as
-/// their row-major payload).
-fn expr_out_dense(out: ExprOut<f32>) -> Vec<f32> {
-    match out {
-        ExprOut::Coo(t) => t.to_dense(ORACLE_MAX_ENTRIES),
-        ExprOut::Semi(s) => s.to_coo().to_dense(ORACLE_MAX_ENTRIES),
-        ExprOut::Dense { vals, .. } => vals,
-        ExprOut::Matrix(m) => m.as_slice().to_vec(),
-    }
-}
-
-/// Emits the conformance cells for one expression-graph route: a graph is
-/// built, lowered through the planner, executed, and compared against the
-/// same expression composed kernel-at-a-time (or against the dense step
-/// oracles), so the cells pin the whole lower-then-execute pipeline
-/// rather than any single kernel.
-#[allow(clippy::too_many_lines)]
-fn push_expr_cells(cs: &mut Vec<Cell>, route: ExprRoute) {
-    use BackendKind::Cpu;
-    match (route.label, route.format, route.backend) {
         // A mixed TEW→TTV(→TTM) chain lowered as one graph vs the same
         // steps as separate kernel calls with materialized intermediates.
         ("chain", FormatKind::Coo, Cpu) => {
@@ -964,7 +936,7 @@ fn push_expr_cells(cs: &mut Vec<Cell>, route: ExprRoute) {
             }
         }
         // Multi-mode TTV product through ttv_multi vs the composed dense
-        // TTV step oracle (the fused-ttvchain comparison space).
+        // TTV step oracle.
         ("ttv", FormatKind::Coo, Cpu) => {
             for t in POOLS {
                 cs.push(Cell::new(format!("{route}/t{t}"), FUSED_TTV_BUDGET, move |cc| {
@@ -1350,9 +1322,8 @@ mod tests {
         assert!(ids.contains(&"mttkrp/csf/cpu/t4"));
         assert!(ids.contains(&"mttkrp/coo/cpu/owner/t2"));
         assert!(ids.contains(&"mttkrp/hicoo/gpu"));
-        assert!(ids.contains(&"fused-ttvchain/coo/cpu/t1"));
-        assert!(ids.contains(&"fused-ttmchain/coo/cpu/t4"));
-        assert!(ids.contains(&"fused-alssweep/hicoo/cpu/t4"));
+        assert!(ids.contains(&"expr-ttmchain/coo/cpu/t4"));
+        assert!(ids.contains(&"expr-alssweep/hicoo/cpu/t4"));
         assert!(ids.contains(&"expr-chain/coo/cpu/t1"));
         assert!(ids.contains(&"expr-contract/coo/cpu/t4"));
         assert!(ids.contains(&"expr-mttkrp/coo/cpu/t1"));
@@ -1402,7 +1373,6 @@ mod tests {
     #[test]
     fn every_cell_maps_to_a_registered_combo() {
         let reg: Vec<String> = registry().iter().map(ToString::to_string).collect();
-        let fused_reg: Vec<String> = fused_registry().iter().map(ToString::to_string).collect();
         let expr_reg: Vec<String> = expr_registry().iter().map(ToString::to_string).collect();
         for cell in cells() {
             let parts: Vec<&str> = cell.id.split('/').collect();
@@ -1414,17 +1384,6 @@ mod tests {
                         .iter()
                         .any(|r| r.op == op && r.format.to_string() == f && b == "cpu"),
                     "cell {} maps to unregistered serve route serve-{op}/{f}/{b}",
-                    cell.id
-                );
-                continue;
-            }
-            // Fused cells map to the fused-route registry, not the
-            // single-kernel combo registry.
-            if let Some(expr) = k.strip_prefix("fused-") {
-                let route = format!("fused-{expr}/{f}/{b}");
-                assert!(
-                    fused_reg.contains(&route),
-                    "cell {} maps to unregistered fused route {route}",
                     cell.id
                 );
                 continue;
@@ -1448,18 +1407,6 @@ mod tests {
                 format!("{k}/{f}/{b}")
             };
             assert!(reg.contains(&combo), "cell {} maps to unregistered combo {combo}", cell.id);
-        }
-    }
-
-    #[test]
-    fn every_fused_route_has_cells() {
-        let ids: Vec<String> = cells().into_iter().map(|c| c.id).collect();
-        for route in fused_registry() {
-            let prefix = route.to_string();
-            assert!(
-                ids.iter().any(|id| id.starts_with(&format!("{prefix}/"))),
-                "fused route {prefix} has no conformance cell"
-            );
         }
     }
 

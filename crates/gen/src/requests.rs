@@ -1,19 +1,16 @@
-//! Seeded, replayable request streams for the serving layer (`.reqs`).
+//! Seeded, replayable request streams for the serving layer.
 //!
 //! A load test is only a benchmark if it can be re-run bit-for-bit. A
-//! `.reqs` file is nothing but a [`StreamSpec`] header — seed, catalog
-//! profile, op mix, popularity skew — and the stream itself is a pure
-//! function of that header: [`StreamSpec::generate`] expands it through
-//! SplitMix64 draws into concrete [`GenRequest`]s. Replaying a run means
-//! parsing the header and generating again; no request bodies are ever
-//! stored.
+//! stream is nothing but a [`StreamSpec`] — seed, catalog profile, op mix,
+//! popularity skew — and the requests themselves are a pure function of
+//! it: [`StreamSpec::generate`] expands it through SplitMix64 draws into
+//! concrete [`GenRequest`]s. Replaying a run means generating again from
+//! the same spec; no request bodies are ever stored.
 //!
 //! Tensor popularity follows the same truncated power-law inverse CDF as
 //! the FireHose-style [`PowerLawGen`](crate::PowerLawGen): a handful of
 //! hot tensors take most of the traffic, matching the skewed reuse that
 //! makes the server's conversion cache worth measuring.
-
-use pasta_core::{Error, Result};
 
 /// The request kinds a stream can mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,7 +46,7 @@ impl ReqKind {
         ReqKind::Expr,
     ];
 
-    /// The lowercase label used in `.reqs` mix lines.
+    /// The lowercase op label.
     pub fn label(self) -> &'static str {
         match self {
             ReqKind::Tew => "tew",
@@ -61,10 +58,6 @@ impl ReqKind {
             ReqKind::Tucker => "tucker",
             ReqKind::Expr => "expr",
         }
-    }
-
-    fn from_label(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.label() == s)
     }
 }
 
@@ -80,8 +73,7 @@ impl Default for OpMix {
     /// The default mix: streaming kernels dominate, decomposition
     /// jobs are rare, and Tucker and composite expression jobs are off
     /// (Tucker's dense per-mode eigensolve is cubic in the mode
-    /// dimension; expr chains are opted into per stream so legacy `.reqs`
-    /// headers replay bit-identically).
+    /// dimension; expr chains are opted into per stream).
     fn default() -> Self {
         Self { weights: [3, 3, 2, 1, 2, 1, 0, 0] }
     }
@@ -99,8 +91,8 @@ impl OpMix {
     }
 }
 
-/// The replayable header of a `.reqs` stream: everything
-/// [`generate`](StreamSpec::generate) needs to reproduce the stream.
+/// A replayable request stream: everything
+/// [`generate`](StreamSpec::generate) needs to reproduce it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamSpec {
     /// Master seed; every draw in the stream descends from it.
@@ -180,87 +172,8 @@ fn powerlaw_index(n: usize, skew: f64, draw: u64) -> usize {
 }
 
 impl StreamSpec {
-    /// Renders the `.reqs` header text. [`parse`](StreamSpec::parse) of
-    /// the result reproduces `self` exactly (floats round-trip through
-    /// Rust's shortest representation).
-    pub fn render(&self) -> String {
-        let mix = ReqKind::ALL
-            .iter()
-            .map(|&k| format!("{}:{}", k.label(), self.mix.weight(k)))
-            .collect::<Vec<_>>()
-            .join(" ");
-        format!(
-            "pasta-reqs v1\nseed {}\nprofile {}\nscale {:?}\ntensors {}\ncount {}\nskew {:?}\nmix {}\n",
-            self.seed, self.profile, self.scale, self.tensors, self.count, self.skew, mix
-        )
-    }
-
-    /// Parses a `.reqs` header.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a missing/unknown magic line, unknown or
-    /// duplicate keys, malformed values, or a spec that cannot generate
-    /// (zero tensors, zero total mix weight).
-    pub fn parse(text: &str) -> Result<Self> {
-        let bad = |what: String| Error::OperandMismatch { what };
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        if lines.next().map(str::trim) != Some("pasta-reqs v1") {
-            return Err(bad("missing `pasta-reqs v1` magic line".into()));
-        }
-        let mut spec = StreamSpec::default();
-        let mut seen: Vec<&str> = Vec::new();
-        for line in lines {
-            let mut parts = line.trim().splitn(2, ' ');
-            let key = parts.next().unwrap_or("");
-            let val = parts.next().unwrap_or("").trim();
-            if seen.contains(&key) {
-                return Err(bad(format!("duplicate key `{key}`")));
-            }
-            match key {
-                "seed" => spec.seed = val.parse().map_err(|_| bad(format!("bad seed `{val}`")))?,
-                "profile" => spec.profile = val.to_string(),
-                "scale" => {
-                    spec.scale = val.parse().map_err(|_| bad(format!("bad scale `{val}`")))?;
-                }
-                "tensors" => {
-                    spec.tensors = val.parse().map_err(|_| bad(format!("bad tensors `{val}`")))?;
-                }
-                "count" => {
-                    spec.count = val.parse().map_err(|_| bad(format!("bad count `{val}`")))?;
-                }
-                "skew" => spec.skew = val.parse().map_err(|_| bad(format!("bad skew `{val}`")))?,
-                "mix" => {
-                    // Unlisted kinds get weight 0, so legacy seven-item
-                    // mix lines (pre-expr) parse unchanged.
-                    let mut weights = [0u32; 8];
-                    for item in val.split_whitespace() {
-                        let (label, w) = item
-                            .split_once(':')
-                            .ok_or_else(|| bad(format!("bad mix item `{item}`")))?;
-                        let kind = ReqKind::from_label(label)
-                            .ok_or_else(|| bad(format!("unknown op `{label}` in mix")))?;
-                        let pos = ReqKind::ALL.iter().position(|k| *k == kind).unwrap();
-                        weights[pos] =
-                            w.parse().map_err(|_| bad(format!("bad weight `{item}`")))?;
-                    }
-                    spec.mix = OpMix { weights };
-                }
-                _ => return Err(bad(format!("unknown key `{key}`"))),
-            }
-            seen.push(key);
-        }
-        if spec.tensors == 0 {
-            return Err(bad("tensors must be >= 1".into()));
-        }
-        if spec.mix.total() == 0 {
-            return Err(bad("mix has zero total weight".into()));
-        }
-        Ok(spec)
-    }
-
-    /// Expands the header into the concrete request stream. Pure in the
-    /// header: equal specs generate equal streams, on any host.
+    /// Expands the spec into the concrete request stream. Pure in the
+    /// spec: equal specs generate equal streams, on any host.
     pub fn generate(&self) -> Vec<GenRequest> {
         let total = self.mix.total().max(1);
         let mut state = self.seed ^ 0x005E_ED0F_5EED;
@@ -292,24 +205,6 @@ impl StreamSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_parse_roundtrip_is_exact() {
-        let spec = StreamSpec {
-            seed: 987,
-            profile: "r3".into(),
-            scale: 0.037,
-            tensors: 5,
-            count: 64,
-            skew: 1.0,
-            mix: OpMix { weights: [1, 0, 4, 2, 3, 0, 1, 2] },
-        };
-        let text = spec.render();
-        let back = StreamSpec::parse(&text).unwrap();
-        assert_eq!(back, spec);
-        // And the streams agree bit for bit.
-        assert_eq!(back.generate(), spec.generate());
-    }
 
     #[test]
     fn generation_is_deterministic_and_seed_sensitive() {
@@ -346,33 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_seven_item_mix_lines_still_parse() {
-        let text = "pasta-reqs v1\nmix tew:1 ts:1 ttv:1 ttm:1 mttkrp:1 cpd:1 tucker:1\n";
-        let spec = StreamSpec::parse(text).unwrap();
-        assert_eq!(spec.mix.weight(ReqKind::Expr), 0, "expr defaults off");
-        assert!(spec.generate().iter().all(|r| r.kind != ReqKind::Expr));
-    }
-
-    #[test]
     fn expr_weight_produces_expr_requests() {
         let mut weights = [0u32; 8];
         weights[7] = 3;
         let spec = StreamSpec { mix: OpMix { weights }, count: 20, ..StreamSpec::default() };
         assert!(spec.generate().iter().all(|r| r.kind == ReqKind::Expr));
-        // And the header round-trips with the new label.
-        let back = StreamSpec::parse(&spec.render()).unwrap();
-        assert_eq!(back.mix.weight(ReqKind::Expr), 3);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_headers() {
-        assert!(StreamSpec::parse("").is_err(), "no magic");
-        assert!(StreamSpec::parse("pasta-reqs v2\n").is_err(), "wrong version");
-        let base = StreamSpec::default().render();
-        assert!(StreamSpec::parse(&format!("{base}seed 1\n")).is_err(), "duplicate key");
-        assert!(StreamSpec::parse(&format!("{base}bogus 1\n")).is_err(), "unknown key");
-        assert!(StreamSpec::parse("pasta-reqs v1\nseed x\n").is_err(), "bad value");
-        assert!(StreamSpec::parse("pasta-reqs v1\ntensors 0\n").is_err(), "zero tensors");
-        assert!(StreamSpec::parse("pasta-reqs v1\nmix tew:0 ts:0\n").is_err(), "zero-weight mix");
     }
 }

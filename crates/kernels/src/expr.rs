@@ -2,8 +2,8 @@
 //! cost-model planner ([`lower`]), and the executable plans it emits
 //! ([`ExprPlan`], [`ContractionPlan`]).
 //!
-//! This generalizes the three canned fused shapes in
-//! [`fused`](crate::fused) into an open grammar:
+//! One grammar covers every chain the suite fuses — multi-mode TTV
+//! products, the TTM chains of Tucker, the MTTKRP of a CP-ALS sweep:
 //!
 //! ```text
 //! expr   := leaf
@@ -33,12 +33,10 @@
 //!    mode a TTM already densified) refused to fuse.
 //!
 //! [`ContractionPlan`] is the single evaluation loop behind every fused
-//! contraction in the suite: the canned [`FusedTtvPlan`], [`FusedTtmChainPlan`]
-//! and the TTM chains of Tucker delegate to it, so the planner-driven and
-//! canned paths are bit-identical by construction.
+//! contraction in the suite (the TTV chains, the TTM chains of Tucker, the
+//! served expressions); the MTTKRP head serves the CP-ALS sweep of
+//! `pasta-algos`, which lowers one `mttkrp(leaf)` graph per run.
 //!
-//! [`FusedTtvPlan`]: crate::fused::FusedTtvPlan
-//! [`FusedTtmChainPlan`]: crate::fused::FusedTtmChainPlan
 //! [`Ctx::fusion`]: crate::pipeline::Ctx::fusion
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,16 +119,37 @@ pub(crate) fn kept_runs<V: Value>(x: &CooTensor<V>, kept: &[usize]) -> Vec<usize
 /// executed in one pass through per-thread workspaces.
 ///
 /// This is the evaluation engine every fused contraction in the suite
-/// shares. `vec_modes` generalizes [`FusedTtvPlan`](crate::fused::FusedTtvPlan)
-/// (matrices empty), `mat_modes` generalizes
-/// [`FusedTtmChainPlan`](crate::fused::FusedTtmChainPlan) (vectors empty,
-/// one kept mode), and mixed plans execute the TTV→TTM chains only the
-/// expression planner emits. When no mode is kept the contraction runs to
+/// shares: vector modes only is a multi-mode TTV product, matrix modes
+/// with one kept mode is the TTM chain of a Tucker sweep, and mixed plans
+/// execute TTV→TTM chains. When no mode is kept the contraction runs to
 /// a dense block via [`execute_full`](Self::execute_full).
 ///
 /// Construction does *not* validate the route against the Combo registry —
-/// the callers ([`lower`] and the canned plan constructors) do, once per
-/// plan, exactly as the canned plans always have.
+/// [`lower`] does, once per plan.
+///
+/// # Examples
+///
+/// ```
+/// use pasta_core::{CooTensor, DenseVector, Shape};
+/// use pasta_kernels::{expr::ContractionPlan, Ctx, WorkspaceKind};
+///
+/// # fn main() -> Result<(), pasta_core::Error> {
+/// let x = CooTensor::from_entries(
+///     Shape::new(vec![2, 3, 4]),
+///     vec![(vec![0, 1, 2], 2.0_f64), (vec![0, 2, 3], 5.0)],
+/// )?;
+/// let ctx = Ctx::sequential();
+/// let plan = ContractionPlan::new(x, &[1, 2], &[], &ctx)?;
+/// let v1 = DenseVector::from_vec(vec![1.0, 10.0, 100.0]);
+/// let v2 = DenseVector::from_vec(vec![1.0, 1.0, 3.0, 7.0]);
+/// let mut vals = vec![0.0; plan.num_fibers()];
+/// plan.execute_into(&[&v1, &v2], &[], &mut vals, &ctx, WorkspaceKind::Dense)?;
+/// let y = plan.assemble_coo(vals)?;
+/// // y[0] = 2·10·3 + 5·100·7 = 3560
+/// assert_eq!(y.get(&[0]), Some(3560.0));
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
 pub struct ContractionPlan<V> {
     x: CooTensor<V>,
@@ -179,13 +198,12 @@ impl<V: Value> ContractionPlan<V> {
         let mut sorted = x;
         let fiber_starts = if kept.is_empty() {
             // Full contraction: entry order is irrelevant (every entry
-            // feeds one output block), so skip the sort — exactly what
-            // the canned full-contraction TTM chain does.
+            // feeds one output block), so skip the sort.
             Vec::new()
         } else if vec_modes.is_empty() && kept.len() == 1 {
-            // Pure TTM chain: the canned plan only requires the kept mode
-            // outermost (any inner order works), so preserve that weaker
-            // skip condition for bit-identical reuse of prior sorts.
+            // Pure TTM chain: only the kept mode must be outermost (any
+            // inner order works), so a prior skip-outermost sort is reused
+            // as is.
             let skip = kept[0];
             if sorted.sort_state().outermost() != Some(skip) {
                 sorted.sort_by_mode_order_threads(&mode_first_order(order, skip), ctx.threads);
@@ -277,8 +295,9 @@ impl<V: Value> ContractionPlan<V> {
         Ok(self.dense_volume(mats))
     }
 
-    /// The span name the fused execute reports under: the canned names
-    /// when the shape is a canned shape, `fused.contract` otherwise.
+    /// The span name the fused execute reports under: `fused.ttv_chain`,
+    /// `fused.ttm_chain` or `fused.ttm_full` for those chain shapes,
+    /// `fused.contract` otherwise.
     fn span_name(&self, full: bool) -> &'static str {
         if full {
             if self.vec_modes.is_empty() {
@@ -1029,12 +1048,10 @@ impl<V> BaseTensor<'_, V> {
     }
 }
 
-/// The cached per-mode MTTKRP routes of a lowered MTTKRP head — the route
-/// table [`FusedAlsSweep`](crate::fused::FusedAlsSweep) always built, now
-/// emitted by the planner: per-mode owner-computes plans where the
-/// schedule analysis says a re-sort pays off (COO), or the one-time HiCOO
-/// conversion. Route validation against the Combo registry is the
-/// caller's job, as with [`ContractionPlan`].
+/// The cached per-mode MTTKRP routes of a lowered MTTKRP head: per-mode
+/// owner-computes plans where the schedule analysis says a re-sort pays
+/// off (COO), or the one-time HiCOO conversion. Route validation against
+/// the Combo registry is the caller's job, as with [`ContractionPlan`].
 #[derive(Debug)]
 pub(crate) struct MttkrpHead<V> {
     hicoo: Option<HiCooTensor<V>>,
@@ -1608,9 +1625,11 @@ pub fn lower<'a, V: Value>(
 /// One pinned expression-graph route of the conformance matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExprRoute {
-    /// Which graph shape: `chain` (TEW→TTV→TTM fused end-to-end), `ttv`
-    /// (multi-mode TTV product), `contract` (full contraction to a dense
-    /// block), `mttkrp` (the planner-cached MTTKRP head).
+    /// Which graph shape: `ttmchain` (the TTM chains of a Tucker sweep),
+    /// `alssweep` (one CP-ALS sweep over a lowered MTTKRP graph), `chain`
+    /// (TEW→TTV→TTM fused end-to-end), `ttv` (multi-mode TTV product),
+    /// `contract` (full contraction to a dense block), `mttkrp` (the
+    /// planner-cached MTTKRP head).
     pub label: &'static str,
     /// The leaf tensor format.
     pub format: FormatKind,
@@ -1625,17 +1644,18 @@ impl std::fmt::Display for ExprRoute {
 }
 
 /// Every expression-graph shape the conformance matrix pins against
-/// composed kernel-at-a-time evaluation. Like [`registry`] and
-/// [`fused_registry`], this is the single source of coverage truth: the
-/// matrix generates `expr-*` cells from it and completeness tests check
-/// both directions.
+/// composed kernel-at-a-time evaluation. Like [`registry`], this is the
+/// single source of coverage truth: the matrix generates `expr-*` cells
+/// from it and completeness tests check both directions.
 ///
 /// [`registry`]: crate::pipeline::registry
-/// [`fused_registry`]: crate::pipeline::fused_registry
 pub fn expr_registry() -> Vec<ExprRoute> {
     use BackendKind::Cpu;
-    use FormatKind::Coo;
+    use FormatKind::{Coo, Hicoo};
     vec![
+        ExprRoute { label: "ttmchain", format: Coo, backend: Cpu },
+        ExprRoute { label: "alssweep", format: Coo, backend: Cpu },
+        ExprRoute { label: "alssweep", format: Hicoo, backend: Cpu },
         ExprRoute { label: "chain", format: Coo, backend: Cpu },
         ExprRoute { label: "ttv", format: Coo, backend: Cpu },
         ExprRoute { label: "contract", format: Coo, backend: Cpu },
@@ -1646,7 +1666,6 @@ pub fn expr_registry() -> Vec<ExprRoute> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused::FusedTtvPlan;
     use pasta_core::{seeded_matrix, seeded_vector};
 
     fn test_tensor(dims: &[u32], nnz: usize, seed: u64) -> CooTensor<f64> {
@@ -1669,33 +1688,100 @@ mod tests {
     }
 
     #[test]
-    fn ttv_graph_is_bit_identical_to_canned_plan() {
+    fn fused_ttv_matches_composed_kernels() {
         let x = test_tensor(&[7, 6, 5, 4], 160, 3);
         let ctx = Ctx::sequential();
         let v1 = seeded_vector::<f64>(6, 11);
         let v2 = seeded_vector::<f64>(4, 12);
-        let canned = FusedTtvPlan::new(&x, &[1, 3], &ctx).unwrap();
-        let want = canned.execute(&[&v1, &v2], &ctx).unwrap();
         let mut g = ExprGraph::new();
         let leaf = g.leaf(&x);
-        let root = g
-            .ttv_multi(
-                leaf,
-                &[1, 3],
-                vec![VecOperand::Owned(v1.clone()), VecOperand::Owned(v2.clone())],
-            )
-            .unwrap();
+        let ops = vec![VecOperand::Owned(v1.clone()), VecOperand::Owned(v2.clone())];
+        let root = g.ttv_multi(leaf, &[1, 3], ops).unwrap();
         let plan = lower(&g, root, &ctx).unwrap();
         assert!(plan.fully_fused());
-        match plan.execute(&Bindings::none()).unwrap() {
-            ExprOut::Coo(y) => {
-                assert_eq!(y.nnz(), want.nnz());
-                for (a, b) in y.vals().iter().zip(want.vals()) {
-                    assert_eq!(a, b, "graph TTV must be bit-identical to the canned plan");
+        let got = match plan.execute(&Bindings::none()).unwrap() {
+            ExprOut::Coo(y) => y.to_dense(1 << 12),
+            other => panic!("expected COO, got {other:?}"),
+        };
+        // Composed: contract mode 3 first (indices above stay put), then 1.
+        let step = ttv_coo(&x, &v2, 3, &ctx).unwrap();
+        let want = ttv_coo(&step, &v1, 1, &ctx).unwrap().to_dense(1 << 12);
+        assert_eq!(got.len(), want.len());
+        for (a, b) in got.iter().zip(&want) {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn ttv_dense_and_sparse_workspaces_agree() {
+        let x = test_tensor(&[9, 8, 7], 200, 5);
+        let v = seeded_vector::<f64>(7, 21);
+        for threads in [1usize, 2, 4] {
+            let ctx = Ctx::new(threads, pasta_par::Schedule::Static);
+            let plan = ContractionPlan::new(x.clone(), &[2], &[], &ctx).unwrap();
+            let mut dense = vec![0.0; plan.num_fibers()];
+            let mut sparse = vec![0.0; plan.num_fibers()];
+            plan.execute_into(&[&v], &[], &mut dense, &ctx, WorkspaceKind::Dense).unwrap();
+            plan.execute_into(&[&v], &[], &mut sparse, &ctx, WorkspaceKind::Sparse).unwrap();
+            for (a, b) in dense.iter().zip(&sparse) {
+                assert!((a - b).abs() < 1e-9, "t={threads}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_ttm_chain_matches_kernel_at_a_time() {
+        let x = test_tensor(&[6, 5, 4], 80, 9);
+        let ctx = Ctx::sequential();
+        let factors: Vec<DenseMatrix<f64>> =
+            vec![seeded_matrix(6, 3, 1), seeded_matrix(5, 2, 2), seeded_matrix(4, 2, 3)];
+        for skip in 0..3usize {
+            let cmodes: Vec<usize> = (0..3).filter(|&m| m != skip).collect();
+            let mats: Vec<&DenseMatrix<f64>> = cmodes.iter().map(|&m| &factors[m]).collect();
+            let plan = ContractionPlan::new(x.clone(), &[], &cmodes, &ctx).unwrap();
+            // Kernel-at-a-time: ttm_coo then ttm_scoo per remaining mode.
+            let step = ttm_coo(&x, mats[0], cmodes[0], &ctx).unwrap();
+            let want = ttm_scoo(&step, mats[1], cmodes[1], &ctx).unwrap();
+            let want = want.to_coo().to_dense(1 << 12);
+            for kind in [WorkspaceKind::Dense, WorkspaceKind::Sparse] {
+                let mut vals = vec![0.0; plan.num_fibers() * plan.dense_volume(&mats)];
+                plan.execute_into(&[], &mats, &mut vals, &ctx, kind).unwrap();
+                let got = plan.assemble_semi(vals, &mats).unwrap().to_coo().to_dense(1 << 12);
+                assert_eq!(got.len(), want.len());
+                for (a, b) in got.iter().zip(&want) {
+                    assert!((a - b).abs() < 1e-9, "skip={skip} {kind}: {a} vs {b}");
                 }
             }
-            other => panic!("expected COO, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn fused_path_materializes_nothing() {
+        let x = test_tensor(&[8, 7, 6], 120, 17);
+        let ctx = Ctx::sequential().with_fusion(FusionChoice::Fuse);
+        let mut g = ExprGraph::new();
+        let leaf = g.leaf(&x);
+        let mats = (1..3)
+            .map(|m| MatOperand::Owned(seeded_matrix(x.shape().dim(m) as usize, 2, m as u64)))
+            .collect();
+        let root = g.ttm_all_but(leaf, 0, mats).unwrap();
+        let plan = lower(&g, root, &ctx).unwrap();
+        pasta_obs::set_counting(true);
+        let before = counters().snapshot();
+        let _ = plan.execute(&Bindings::none()).unwrap();
+        let after = counters().snapshot();
+        assert_eq!(after[CounterId::FusedMaterialized], before[CounterId::FusedMaterialized]);
+        assert!(after[CounterId::FusedEntries] >= before[CounterId::FusedEntries] + x.nnz() as u64);
+        assert!(after[CounterId::FusedChains] > before[CounterId::FusedChains]);
+    }
+
+    #[test]
+    fn contraction_plan_rejects_bad_modes() {
+        let x = test_tensor(&[4, 4, 4], 10, 1);
+        let ctx = Ctx::sequential();
+        assert!(ContractionPlan::new(x.clone(), &[], &[], &ctx).is_err());
+        assert!(ContractionPlan::new(x.clone(), &[3], &[], &ctx).is_err());
+        assert!(ContractionPlan::new(x, &[1], &[1, 2], &ctx).is_err());
     }
 
     #[test]
@@ -1809,6 +1895,40 @@ mod tests {
             }
         }
         for (a, b) in got.iter().zip(&want) {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn execute_full_contracts_every_mode() {
+        let x = test_tensor(&[5, 4, 3], 40, 13);
+        let ctx = Ctx::sequential();
+        let factors: Vec<DenseMatrix<f64>> =
+            vec![seeded_matrix(5, 2, 4), seeded_matrix(4, 2, 5), seeded_matrix(3, 2, 6)];
+        let mats: Vec<&DenseMatrix<f64>> = factors.iter().collect();
+        let plan = ContractionPlan::new(x.clone(), &[], &[0, 1, 2], &ctx).unwrap();
+        assert!(plan.kept().is_empty());
+        let core = plan.execute_full(&[], &mats, &ctx).unwrap();
+        assert_eq!(core.len(), 8);
+        // A partial plan refuses the full-contraction entry point.
+        let partial = ContractionPlan::new(x.clone(), &[], &[1, 2], &ctx).unwrap();
+        assert!(partial.execute_full(&[], &mats[1..], &ctx).is_err());
+        // Reference: the hand-expanded triple product over every entry.
+        let mut want = vec![0.0f64; 8];
+        for e in 0..x.nnz() {
+            let v = x.vals()[e];
+            for r0 in 0..2 {
+                for r1 in 0..2 {
+                    for r2 in 0..2 {
+                        want[r0 * 4 + r1 * 2 + r2] += v
+                            * factors[0].get(x.mode_inds(0)[e] as usize, r0)
+                            * factors[1].get(x.mode_inds(1)[e] as usize, r1)
+                            * factors[2].get(x.mode_inds(2)[e] as usize, r2);
+                    }
+                }
+            }
+        }
+        for (a, b) in core.iter().zip(&want) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
     }
@@ -1944,7 +2064,7 @@ mod tests {
     #[test]
     fn expr_registry_rows_are_unique() {
         let rows = expr_registry();
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.len(), 7);
         let mut ids: Vec<String> = rows.iter().map(|r| r.to_string()).collect();
         ids.sort();
         let before = ids.len();

@@ -58,7 +58,6 @@ pub mod dense_ref;
 pub mod expr;
 pub mod fcoo;
 pub mod fibers;
-pub mod fused;
 pub mod microkernel;
 pub mod mttkrp;
 pub mod pipeline;
@@ -79,14 +78,13 @@ pub use expr::{
     ExprRoute, LeafTensor, MatOperand, VecOperand,
 };
 pub use fcoo::ttv_fcoo;
-pub use fused::{FusedAlsSweep, FusedTtmChainPlan, FusedTtvPlan};
 pub use microkernel::{force_simd, prefetch_read, simd_level, SimdLevel};
 pub use mttkrp::{
     mttkrp_coo, mttkrp_coo_traced, mttkrp_hicoo, mttkrp_hicoo_traced, MttkrpCooPlan, MttkrpRun,
 };
 pub use pipeline::{
-    fused_registry, owner_ranges, registry, BackendKind, Combo, Ctx, EwOp, ExecRoute, FormatKind,
-    FusedExprKind, FusedRoute, FusionChoice, KernelPlan, StrategyChoice, TsOp, DEFAULT_BLOCK_SIZE,
+    owner_ranges, registry, BackendKind, Combo, Ctx, EwOp, ExecRoute, FormatKind, FusionChoice,
+    KernelPlan, StrategyChoice, TsOp, DEFAULT_BLOCK_SIZE,
 };
 pub use tew::{
     tew_any, tew_coo, tew_coo_general, tew_coo_same_pattern, tew_csf, tew_fcoo, tew_ghicoo,

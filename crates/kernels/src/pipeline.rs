@@ -154,7 +154,7 @@ pub enum StrategyChoice {
 
 /// Whether kernel *chains* (TTM chains, multi-mode TTV products, the CP-ALS
 /// sweep) execute fused through per-thread workspaces or materialize every
-/// intermediate sparse tensor (see [`fused`](crate::fused)).
+/// intermediate sparse tensor (see [`lower`](crate::expr::lower)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FusionChoice {
     /// Let the fuse-vs-materialize cost model in
@@ -570,79 +570,6 @@ pub fn registry() -> Vec<Combo> {
         combos.push(Combo { kernel, format, backend: Gpu });
     }
     combos
-}
-
-/// A fused kernel-chain expression shape (see [`fused`](crate::fused)).
-///
-/// These are the *chains* the fused-expression layer executes through
-/// per-thread workspaces instead of materializing intermediates; they sit
-/// beside the single-kernel [`Kernel`] enum rather than extending it, so
-/// the five-kernel cost tables and tuners are untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FusedExprKind {
-    /// Multi-mode TTV∘TTV product: contract several modes with vectors in
-    /// one pass ([`FusedTtvPlan`](crate::fused::FusedTtvPlan)).
-    TtvChain,
-    /// The TTM chain of a Tucker sweep: contract every mode but one with
-    /// factor matrices ([`FusedTtmChainPlan`](crate::fused::FusedTtmChainPlan)).
-    TtmChain,
-    /// One CP-ALS sweep: MTTKRP → Hadamard-of-Grams → solve → normalize
-    /// with cached grams and plans ([`FusedAlsSweep`](crate::fused::FusedAlsSweep)).
-    AlsSweep,
-}
-
-impl FusedExprKind {
-    /// All fused expression shapes.
-    pub const ALL: [FusedExprKind; 3] =
-        [FusedExprKind::TtvChain, FusedExprKind::TtmChain, FusedExprKind::AlsSweep];
-
-    /// The lowercase label used in conformance cell ids.
-    pub fn label(self) -> &'static str {
-        match self {
-            FusedExprKind::TtvChain => "ttvchain",
-            FusedExprKind::TtmChain => "ttmchain",
-            FusedExprKind::AlsSweep => "alssweep",
-        }
-    }
-}
-
-impl std::fmt::Display for FusedExprKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// One implemented (fused expression, input format, backend) route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FusedRoute {
-    /// Which chain shape.
-    pub expr: FusedExprKind,
-    /// The input tensor format the chain reads.
-    pub format: FormatKind,
-    /// Where it runs.
-    pub backend: BackendKind,
-}
-
-impl std::fmt::Display for FusedRoute {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "fused-{}/{}/{}", self.expr, self.format, self.backend)
-    }
-}
-
-/// Every fused chain route the suite implements.
-///
-/// Like [`registry`], this is the source of truth for coverage: the
-/// conformance matrix generates `fused-*` cells from it (composed dense
-/// oracles, explicit per-cell ULP budgets), and the completeness tests
-/// fail if a fused driver exists without a registered route.
-pub fn fused_registry() -> Vec<FusedRoute> {
-    use BackendKind::Cpu;
-    vec![
-        FusedRoute { expr: FusedExprKind::TtvChain, format: FormatKind::Coo, backend: Cpu },
-        FusedRoute { expr: FusedExprKind::TtmChain, format: FormatKind::Coo, backend: Cpu },
-        FusedRoute { expr: FusedExprKind::AlsSweep, format: FormatKind::Coo, backend: Cpu },
-        FusedRoute { expr: FusedExprKind::AlsSweep, format: FormatKind::Hicoo, backend: Cpu },
-    ]
 }
 
 /// How a planned kernel will execute.

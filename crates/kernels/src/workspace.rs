@@ -1,6 +1,6 @@
 //! Per-thread workspaces for the fused-expression layer.
 //!
-//! A fused chain (see [`fused`](crate::fused)) never materializes an
+//! A fused chain (see [`expr`](crate::expr)) never materializes an
 //! intermediate sparse tensor; instead every worker accumulates into a
 //! *workspace* — either a dense scratch block indexed by output row
 //! (Kjolstad-style dense workspace) or the open-addressing

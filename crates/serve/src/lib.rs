@@ -16,9 +16,7 @@
 //!   MTTKRP owner-computes style across mode-outermost ranges;
 //! - [`direct_eval`], the cache-free sequential reference every response
 //!   is differentially tested against ([`OpSpec::budget`] ULPs; 0 for
-//!   everything but the TTV/TTM reduction routes);
-//! - [`LatencyStats`], a nearest-rank percentile estimator for
-//!   closed-loop load runs.
+//!   everything but the TTV/TTM reduction routes).
 //!
 //! The request lifecycle is observable end to end: `serve.requests`,
 //! `serve.batches`, `serve.shard_tasks` and `cache.hits` /
@@ -57,14 +55,12 @@ pub mod catalog;
 pub mod direct;
 pub mod request;
 pub mod server;
-pub mod stats;
 
 pub use cache::{ConvCache, Product, ProductKey};
 pub use catalog::{Catalog, ResidentTensor};
 pub use direct::direct_eval;
 pub use request::{ExprSpec, ExprStep, MttkrpRoute, OpSpec, Request, Response, TensorId};
 pub use server::{Server, ServerConfig};
-pub use stats::{LatencyStats, LatencySummary};
 
 use pasta_kernels::{FormatKind, Kernel};
 

@@ -1,19 +1,22 @@
-//! Property-based tests for the fused-expression layer: fused TTV∘TTV and
-//! TTM chains and the fused ALS sweep against composed kernel-at-a-time
-//! references, across tensor orders 3–4, pool sizes 1/2/4, and both
-//! workspace kinds — plus the no-materialization counter invariant.
+//! Property-based tests for the fused-expression layer: lowered TTV∘TTV
+//! and TTM chains, the contraction engine under both workspace kinds, and
+//! the ALS sweep against composed kernel-at-a-time references, across
+//! tensor orders 3–4 and pool sizes 1/2/4 — plus the no-materialization
+//! counter invariant.
 //!
-//! The composed references here call the raw kernels directly (never
-//! `pasta::algos::ttm_chain`), so this binary's counter assertions cannot
-//! race against legitimate `fused.materialized_intermediates` bumps.
+//! The composed references here call the raw kernels directly (never a
+//! materialized expression plan), so this binary's counter assertions
+//! cannot race against legitimate `fused.materialized_intermediates`
+//! bumps.
 
+use pasta::algos::AlsSweep;
 use pasta::core::linalg::{gram, hadamard, normalize_columns, Cholesky};
 use pasta::core::{
     seeded_matrix, seeded_vector, CooTensor, DenseMatrix, DenseVector, SemiCooTensor, Shape,
 };
 use pasta::kernels::{
-    counters, mttkrp_coo, ttm_coo, ttm_scoo, ttv_coo, CounterId, Ctx, FormatKind, FusedAlsSweep,
-    FusedTtmChainPlan, FusedTtvPlan, WorkspaceKind,
+    counters, lower, mttkrp_coo, ttm_coo, ttm_scoo, ttv_coo, Bindings, ContractionPlan, CounterId,
+    Ctx, ExprGraph, ExprOut, FormatKind, FusionChoice, MatOperand, VecOperand, WorkspaceKind,
 };
 use pasta::par::Schedule;
 use pasta_conformance::oracle::worst_ulp;
@@ -21,6 +24,46 @@ use proptest::prelude::*;
 
 fn ctx_with(threads: usize) -> Ctx {
     Ctx::new(threads, Schedule::Static)
+}
+
+/// The multi-mode TTV product over `contract`, lowered fused and
+/// executed: a COO tensor over the kept modes.
+fn lowered_ttv_chain(
+    x: &CooTensor<f64>,
+    contract: &[usize],
+    vecs: &[DenseVector<f64>],
+    ctx: &Ctx,
+) -> CooTensor<f64> {
+    let mut g = ExprGraph::new();
+    let leaf = g.leaf(x);
+    let ops = vecs.iter().cloned().map(VecOperand::Owned).collect();
+    let root = g.ttv_multi(leaf, contract, ops).unwrap();
+    let plan = lower(&g, root, &ctx.with_fusion(FusionChoice::Fuse)).unwrap();
+    assert!(plan.fully_fused());
+    match plan.execute(&Bindings::none()).unwrap() {
+        ExprOut::Coo(y) => y,
+        other => panic!("expected COO, got {other:?}"),
+    }
+}
+
+/// The TTM chain over every mode but `skip` (`skip == order` contracts
+/// all of them), lowered fused with the factors bound through slots.
+fn lowered_ttm_chain(
+    x: &CooTensor<f64>,
+    factors: &[DenseMatrix<f64>],
+    skip: usize,
+    ctx: &Ctx,
+) -> ExprOut<f64> {
+    let mut g = ExprGraph::new();
+    let leaf = g.leaf(x);
+    let mats = (0..x.order())
+        .filter(|&m| m != skip)
+        .map(|m| MatOperand::Slot { slot: m, cols: factors[m].cols() })
+        .collect();
+    let root = g.ttm_all_but(leaf, skip, mats).unwrap();
+    let plan = lower(&g, root, &ctx.with_fusion(FusionChoice::Fuse)).unwrap();
+    assert!(plan.fully_fused());
+    plan.execute(&Bindings::with_mats(factors.iter().collect())).unwrap()
 }
 
 /// Explicit ULP budgets. The fused chains accumulate the whole expression
@@ -74,7 +117,7 @@ fn composed_ttv_chain(
     cur
 }
 
-/// Kernel-at-a-time TTM chain (the `pasta::algos::ttm_chain` algorithm,
+/// Kernel-at-a-time TTM chain (the materialized expression suffix,
 /// restated over the raw kernels so no fused counters are touched).
 fn composed_ttm_chain(
     x: &CooTensor<f64>,
@@ -154,19 +197,19 @@ fn check_ttv_chain(x: &CooTensor<f64>, contract: &[usize]) {
     let want = composed_ttv_chain(x, contract, &vecs, &Ctx::sequential()).to_dense(1 << 22);
     for threads in POOLS {
         let ctx = ctx_with(threads);
-        let plan = FusedTtvPlan::new(x, contract, &ctx).unwrap();
-        // The auto-dispatched route…
-        let got = plan.execute(&refs, &ctx).unwrap().to_dense(1 << 22);
-        let w = worst_ulp(&got, &want).unwrap_or(u64::MAX);
-        assert!(w <= TTV_CHAIN_ULP, "t{threads} auto: worst {w} ULP");
-        // …and both workspace kinds explicitly: each must agree with the
-        // auto route's fiber values to the same budget.
-        let auto_vals = plan.execute(&refs, &ctx).unwrap();
+        // The lowered graph (workspace picked per execution)…
+        let lowered = lowered_ttv_chain(x, contract, &vecs, &ctx);
+        let w = worst_ulp(&lowered.to_dense(1 << 22), &want).unwrap_or(u64::MAX);
+        assert!(w <= TTV_CHAIN_ULP, "t{threads} lowered: worst {w} ULP");
+        // …and the contraction engine under both workspace kinds
+        // explicitly: each must agree with the lowered route's fiber
+        // values to the same budget.
+        let plan = ContractionPlan::new(x.clone(), contract, &[], &ctx).unwrap();
         for kind in [WorkspaceKind::Dense, WorkspaceKind::Sparse] {
             let mut vals = vec![0.0f64; plan.num_fibers()];
-            plan.execute_values_with(&refs, &mut vals, &ctx, kind).unwrap();
-            let w = worst_ulp(&vals, auto_vals.vals()).unwrap_or(u64::MAX);
-            assert!(w <= TTV_CHAIN_ULP, "t{threads} {kind}: worst {w} ULP vs auto route");
+            plan.execute_into(&refs, &[], &mut vals, &ctx, kind).unwrap();
+            let w = worst_ulp(&vals, lowered.vals()).unwrap_or(u64::MAX);
+            assert!(w <= TTV_CHAIN_ULP, "t{threads} {kind}: worst {w} ULP vs lowered route");
         }
     }
 }
@@ -178,9 +221,10 @@ fn check_ttm_chain(x: &CooTensor<f64>, rank: usize) {
     for skip in 0..x.order() {
         let want = composed_ttm_chain(x, &factors, skip, &Ctx::sequential()).to_dense(1 << 22);
         for threads in POOLS {
-            let ctx = ctx_with(threads);
-            let plan = FusedTtmChainPlan::new(x, skip, &ctx).unwrap();
-            let got = plan.execute(&factors, &ctx).unwrap().to_coo().to_dense(1 << 22);
+            let got = match lowered_ttm_chain(x, &factors, skip, &ctx_with(threads)) {
+                ExprOut::Semi(y) => y.to_coo().to_dense(1 << 22),
+                other => panic!("expected semi-sparse, got {other:?}"),
+            };
             let w = worst_ulp(&got, &want).unwrap_or(u64::MAX);
             assert!(w <= TTM_CHAIN_ULP, "skip {skip} t{threads}: worst {w} ULP");
         }
@@ -188,9 +232,10 @@ fn check_ttm_chain(x: &CooTensor<f64>, rank: usize) {
     // Full contraction (the Tucker core) against the composed chain.
     let want = composed_ttm_chain(x, &factors, x.order(), &Ctx::sequential()).to_dense(1 << 22);
     for threads in POOLS {
-        let ctx = ctx_with(threads);
-        let plan = FusedTtmChainPlan::new(x, x.order(), &ctx).unwrap();
-        let got = plan.execute_full(&factors, &ctx).unwrap();
+        let got = match lowered_ttm_chain(x, &factors, x.order(), &ctx_with(threads)) {
+            ExprOut::Dense { vals, .. } => vals,
+            other => panic!("expected a dense block, got {other:?}"),
+        };
         let w = worst_ulp(&got, &want).unwrap_or(u64::MAX);
         assert!(w <= TTM_CHAIN_ULP, "full t{threads}: worst {w} ULP");
     }
@@ -201,12 +246,12 @@ fn check_als_sweep(x: &CooTensor<f64>, rank: usize, sweeps: usize) {
         let ctx = ctx_with(threads);
         let mut ff = unit_factors(x, rank, 5);
         let mut lf = vec![1.0f64; rank];
-        let mut plan = FusedAlsSweep::new(x, FormatKind::Coo, 0, &ff, &ctx).unwrap();
+        let mut plan = AlsSweep::new(x, FormatKind::Coo, 0, &ff, &ctx).unwrap();
         let mut fm = unit_factors(x, rank, 5);
         let mut lm = vec![1.0f64; rank];
         for _ in 0..sweeps {
             if !composed_als_sweep(x, &mut fm, &mut lm, &ctx) {
-                // Degenerate Gram: the fused route must reject it too.
+                // Degenerate Gram: the sweep must reject it too.
                 assert!(plan.sweep(&mut ff, &mut lf).is_err());
                 return;
             }
@@ -284,21 +329,17 @@ fn fused_paths_materialize_no_intermediates() {
     pasta::obs::set_counting(true);
     let before = counters().snapshot();
 
-    let v1 = seeded_vector::<f64>(7, 1);
-    let v2 = seeded_vector::<f64>(6, 2);
-    let ttv = FusedTtvPlan::new(&x, &[1, 2], &ctx).unwrap();
-    ttv.execute(&[&v1, &v2], &ctx).unwrap();
+    let vecs = [seeded_vector::<f64>(7, 1), seeded_vector::<f64>(6, 2)];
+    lowered_ttv_chain(&x, &[1, 2], &vecs, &ctx);
 
     let factors: Vec<DenseMatrix<f64>> =
         (0..3).map(|m| seeded_matrix(x.shape().dim(m) as usize, 3, m as u64)).collect();
-    let ttm = FusedTtmChainPlan::new(&x, 0, &ctx).unwrap();
-    ttm.execute(&factors, &ctx).unwrap();
-    let core = FusedTtmChainPlan::new(&x, 3, &ctx).unwrap();
-    core.execute_full(&factors, &ctx).unwrap();
+    lowered_ttm_chain(&x, &factors, 0, &ctx);
+    lowered_ttm_chain(&x, &factors, 3, &ctx);
 
     let mut ff = unit_factors(&x, 2, 9);
     let mut lf = vec![1.0f64; 2];
-    let mut als = FusedAlsSweep::new(&x, FormatKind::Coo, 0, &ff, &ctx).unwrap();
+    let mut als = AlsSweep::new(&x, FormatKind::Coo, 0, &ff, &ctx).unwrap();
     als.sweep(&mut ff, &mut lf).unwrap();
 
     let after = counters().snapshot();

@@ -10,8 +10,7 @@
 
 use pasta::core::{seeded_matrix, seeded_vector, CooTensor, DenseMatrix, DenseVector, Shape};
 use pasta::kernels::{
-    lower, mttkrp_coo, ttv_coo, Bindings, Ctx, EwOp, ExprGraph, FusedTtvPlan, MatOperand,
-    VecOperand,
+    lower, mttkrp_coo, ttv_coo, Bindings, Ctx, EwOp, ExprGraph, MatOperand, VecOperand,
 };
 use pasta::par::Schedule;
 use pasta::serve::{Catalog, OpSpec, Request, Server, ServerConfig};
@@ -50,10 +49,12 @@ fn all_counters_zero_delta_when_disabled() {
             (0..3).map(|m| seeded_matrix(x.shape().dim(m) as usize, 4, 3 + m as u64)).collect();
         mttkrp_coo(&x, &factors, 0, &ctx).unwrap();
         // Fused TTV chain (plan-cache, chain, workspace counters).
-        let v1: DenseVector<f64> = seeded_vector(9, 5);
-        let v2: DenseVector<f64> = seeded_vector(8, 6);
-        let plan = FusedTtvPlan::new(&x, &[1, 2], &ctx).unwrap();
-        plan.execute(&[&v1, &v2], &ctx).unwrap();
+        let mut g = ExprGraph::new();
+        let leaf = g.leaf(&x);
+        let vecs =
+            vec![VecOperand::Owned(seeded_vector(9, 5)), VecOperand::Owned(seeded_vector(8, 6))];
+        let root = g.ttv_multi(leaf, &[1, 2], vecs).unwrap();
+        lower(&g, root, &ctx).unwrap().execute(&Bindings::none()).unwrap();
         // Expression-graph lowering and execution (expr plan/edge counters,
         // plan-cache hits on the re-execution).
         let mut g = ExprGraph::new();
